@@ -98,6 +98,8 @@ def cmd_sweep(args) -> int:
         raise GraphInputError(f"bad --k list {args.k!r}") from exc
     if any(k < 1 for k in ks):
         raise GraphInputError("every k must be at least 1")
+    if args.samples < 1:
+        raise GraphInputError(f"--samples must be at least 1, got {args.samples}")
     families = tuple(parse_family(f) for f in args.family or ())
     input_graphs: tuple = ()
     if args.input:

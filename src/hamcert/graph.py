@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -104,20 +105,24 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def components_masks(adj: tuple[int, ...], remaining: int) -> list[int]:
-    """Connected components of the subgraph induced on ``remaining``."""
+    """Connected components of the subgraph induced on ``remaining``,
+    ordered by their lowest vertex. A frontier fill: each vertex is
+    expanded once, adding its neighbors not yet reached.
+    """
     out = []
     rem = remaining
     while rem:
-        comp = rem & -rem
-        while True:
-            grown = comp
-            for v in bits(comp):
-                grown |= adj[v] & rem
-            if grown == comp:
-                break
-            comp = grown
+        comp = frontier = rem & -rem
+        rem ^= comp
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = adj[low.bit_length() - 1] & rem
+            if new:
+                rem ^= new
+                comp |= new
+                frontier |= new
         out.append(comp)
-        rem &= ~comp
     return out
 
 
@@ -175,8 +180,13 @@ def path_graph(n: int) -> Graph:
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def _pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The vertex pairs of K_n in lexicographic order; bit i of a graph
+    code is the i-th pair."""
+    if n > MAX_VERTICES:  # before building, so the cache stays small
+        raise CapacityError(f"n={n} exceeds the ceiling of {MAX_VERTICES}")
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
 def gnp_graph(n: int, p: Fraction, seed: int, index: int = 0) -> Graph:
@@ -191,8 +201,19 @@ def gnp_graph(n: int, p: Fraction, seed: int, index: int = 0) -> Graph:
 
 def graph_from_code(n: int, code: int) -> Graph:
     """Labeled graph whose edge set is the bits of ``code`` over lexicographic pairs."""
-    edges = [e for i, e in enumerate(_pairs(n)) if code >> i & 1]
-    return build_graph(n, edges)
+    if n < 1:
+        raise GraphInputError("graph needs at least one vertex")
+    pairs = _pairs(n)
+    if not 0 <= code < 1 << len(pairs):
+        raise GraphInputError(f"graph code {code} is outside [0, 2^{len(pairs)}) for n={n}")
+    adj = [0] * n
+    while code:
+        low = code & -code
+        u, v = pairs[low.bit_length() - 1]
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        code ^= low
+    return Graph(n, tuple(adj))
 
 
 def exhaustive_graphs(n: int) -> Iterator[Graph]:

@@ -115,9 +115,16 @@ class Toughness:
         return f"{self.value.numerator}/{self.value.denominator}"
 
 
-def cut_scan(G: Graph) -> tuple[int, Toughness]:
-    """One pass over all vertex subsets: exact connectivity (smallest
-    disconnecting set) and exact toughness with its witness cut.
+def _scan_cuts(G: Graph, kappa_cap: int, exact: bool) -> tuple[int, int, int, int, int]:
+    """The one subset-enumeration kernel behind every cut-based oracle.
+
+    Visits removal sets S by ascending size, so the first separator gives
+    kappa exactly; returns ``(min(kappa, kappa_cap), num, den, cut, c)``
+    with num/den the least |S|/c(G-S) met, first reached at ``cut``
+    (den = 0: no separator met). Exact mode stops once kappa is known and
+    |S|/(n-|S|), which bounds every later ratio, reaches the best ratio.
+    Threshold mode decides only whether toughness <= 1: it stops once kappa
+    is settled up to the cap and a cut with |S| <= c(G-S) is met or |S| > n/2.
     """
     n = G.n
     if n > TOUGHNESS_CEILING:
@@ -125,34 +132,46 @@ def cut_scan(G: Graph) -> tuple[int, Toughness]:
             f"exact cut scan is capped at n={TOUGHNESS_CEILING}, got n={n}"
         )
     if G.is_complete():
-        return n - 1, Toughness(is_infinite=True)
+        return min(n - 1, kappa_cap), 0, 0, 0, 0
     adj = G.adj
     full = G.full_mask
-    best_num = best_den = 0  # toughness |S|/c as a cross-multiplied pair
-    best_cut = 0
-    best_c = 0
-    kappa = n - 1
-    for rm in range(1 << n):
-        size = rm.bit_count()
-        if size > n - 2:
-            continue
-        if best_den and size * best_den >= best_num * (n - size) and size >= kappa:
-            # |S|/c >= |S|/(n-|S|) >= current best, and no smaller separator
-            continue
-        c = len(components_masks(adj, full & ~rm))
-        if c < 2:
-            continue
-        if size < kappa:
-            kappa = size
-        if not best_den or size * best_den < best_num * c:
-            best_num, best_den, best_cut, best_c = size, c, rm, c
-    tough = Toughness(
-        is_infinite=False,
-        value=Fraction(best_num, best_den),
-        cut=frozenset(bits(best_cut)),
-        component_count=best_c,
-    )
-    return kappa, tough
+    kappa = -1
+    num = den = cut = best_c = 0
+
+    def settled(size: int) -> bool:
+        if kappa < 0 and size < kappa_cap:
+            return False
+        if exact:
+            return den > 0 and size * den >= num * (n - size)
+        return (den > 0 and num <= den) or 2 * size > n
+
+    vertex_bits = [1 << v for v in range(n)]
+    for size in range(n - 1):
+        if settled(size):
+            break
+        for sub in combinations(vertex_bits, size):
+            rm = sum(sub)
+            c = len(components_masks(adj, full & ~rm))
+            if c >= 2:
+                if kappa < 0:
+                    kappa = size
+                if not den or size * den < num * c:
+                    num, den, cut, best_c = size, c, rm, c
+                    if settled(size):
+                        break
+    return (min(kappa, kappa_cap) if kappa >= 0 else kappa_cap), num, den, cut, best_c
+
+
+def cut_scan(G: Graph) -> tuple[int, Toughness]:
+    """Exact connectivity (smallest disconnecting set) and exact toughness
+    with its witness cut, from one scan of vertex subsets. Among cuts of
+    least ratio the witness has the fewest vertices, then the
+    lexicographically first sorted vertex list.
+    """
+    kappa, num, den, cut, c = _scan_cuts(G, G.n - 1, exact=True)
+    if not den:
+        return kappa, Toughness(is_infinite=True)
+    return kappa, Toughness(False, Fraction(num, den), frozenset(bits(cut)), c)
 
 
 def toughness(G: Graph) -> Toughness:
@@ -308,9 +327,8 @@ def hypothesis_check(G: Graph, k: int) -> HypothesisReport:
     """Evaluate all three hypotheses of the main theorem for (G, k)."""
     if k < 1:
         raise GraphInputError("k must be at least 1")
-    kappa = vertex_connectivity(G)
+    kappa, tough = cut_scan(G)
     witness = find_induced_p2_plus_kp1(G, k)
-    tough = toughness(G)
     return HypothesisReport(
         k=k,
         connectivity=kappa,

@@ -2,11 +2,12 @@
 extraction, validation, and JSONL reporting.
 
 A sweep with an output sink records one line per (graph, k) with exact
-invariant values. Without a sink it runs in a light mode that evaluates
-the hypotheses by early-exit boolean scans, which keeps exhaustive
-7-vertex runs tractable on one core; light and full mode agree exactly
-(both are subset-enumeration based) and the oracle-equivalence tests
-pin that down.
+invariant values from ``cut_scan``. Without a sink it runs in a light mode,
+``quick_hypotheses``, which runs the same cut-enumeration kernel in its
+early-exit threshold mode: it stops as soon as the verdict for every k
+is decided, which keeps exhaustive 7-vertex runs tractable on one core.
+The two modes agree by construction, because both read connectivity and
+toughness off the one kernel; the tests compare them all the same.
 """
 
 from __future__ import annotations
@@ -15,30 +16,30 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from random import Random
 from typing import Callable, Iterator
 
 from .certify import validate_outcome
 from .engine import extract
-from .errors import CapacityError
+from .errors import CapacityError, GraphInputError
 from .graph import (
     EXHAUSTIVE_CEILING,
     FamilySpec,
     Graph,
-    components_masks,
+    components_masks,  # noqa: F401 - unused here; bench/tracing.py counts fills through it
     gnp_graph,
     graph_from_code,
     generate,
-    mask_of,
 )
 from .graph6 import write_graph6
 from .invariants import (
+    TOUGHNESS_CEILING,
+    _scan_cuts,
     cut_scan,
     find_induced_p2_plus_kp1,
     is_hamiltonian_connected,
 )
-from .outcomes import CERTIFICATE_KINDS, outcome_to_dict
+from .outcomes import CERTIFICATE_KINDS
 
 PairPolicy = tuple[str, int]  # ("all", 0) | ("sample", m) | ("none", 0)
 
@@ -82,11 +83,23 @@ def parse_pair_policy(text: str) -> PairPolicy:
     if text == "none":
         return ("none", 0)
     if text.startswith("sample:"):
-        return ("sample", int(text.split(":", 1)[1]))
-    raise ValueError(f"bad pair policy {text!r}; use all, none, or sample:N")
+        count = text[len("sample:"):]
+        if count.isascii() and count.isdigit():
+            return ("sample", int(count))
+    raise GraphInputError(f"bad pair policy {text!r}; use all, none, or sample:N with N >= 0")
 
 
 # --- task stream ------------------------------------------------------------
+
+
+def _check_capacity(cfg: SweepConfig) -> None:
+    """Reject a sweep past a ceiling before its first task."""
+    for fam in cfg.families:
+        if fam.kind == "exhaustive" and fam.n > EXHAUSTIVE_CEILING:
+            raise CapacityError(f"exhaustive sweep capped at n={EXHAUSTIVE_CEILING}, got {fam.n}")
+    for n in [fam.n for fam in cfg.families] + [n for n, _ in cfg.input_graphs]:
+        if n > TOUGHNESS_CEILING:
+            raise CapacityError(f"sweeps are capped at n={TOUGHNESS_CEILING} vertices, got n={n}")
 
 
 def _task_stream(cfg: SweepConfig) -> Iterator[tuple]:
@@ -96,10 +109,6 @@ def _task_stream(cfg: SweepConfig) -> Iterator[tuple]:
         idx += 1
     for fam in cfg.families:
         if fam.kind == "exhaustive":
-            if fam.n > EXHAUSTIVE_CEILING:
-                raise CapacityError(
-                    f"exhaustive sweep capped at n={EXHAUSTIVE_CEILING}, got {fam.n}"
-                )
             for code in range(1 << (fam.n * (fam.n - 1) // 2)):
                 yield (idx, "code", fam.n, code)
                 idx += 1
@@ -127,48 +136,17 @@ def _materialize(task: tuple) -> Graph:
 
 
 def quick_hypotheses(G: Graph, ks: tuple[int, ...]) -> dict[int, tuple[bool, bool, bool]]:
-    """(is_2k_connected, forbidden_free, toughness_exceeds_one) per k,
-    by early-exit boolean scans; exact, no approximation.
+    """(is_2k_connected, forbidden_free, toughness_exceeds_one) per k, from
+    the early-exit mode of the cut scan behind ``cut_scan``: kappa is only
+    settled up to 2 max(ks). forbidden_free is None where the verdict does
+    not need it.
     """
-    n = G.n
-    adj = G.adj
-    full = G.full_mask
-    complete = G.is_complete()
-    if complete:
-        tough_gt1 = True
-    else:
-        tough_gt1 = True
-        verts = range(n)
-        for size in range(0, n // 2 + 1):
-            for sub in combinations(verts, size):
-                rm = mask_of(sub)
-                c = len(components_masks(adj, full & ~rm))
-                if c >= 2 and size <= c:
-                    tough_gt1 = False
-                    break
-            if not tough_gt1:
-                break
-    mindeg = min(m.bit_count() for m in adj) if n > 1 else 0
+    kappa, num, den, _, _ = _scan_cuts(G, 2 * max(ks, default=0), exact=False)
+    tough_gt1 = not den or num > den
     out = {}
     for k in ks:
-        if complete:
-            is2k = n - 1 >= 2 * k
-        elif mindeg < 2 * k:
-            is2k = False
-        else:
-            is2k = True
-            for size in range(0, min(2 * k, n - 1)):
-                for sub in combinations(range(n), size):
-                    rm = mask_of(sub)
-                    if len(components_masks(adj, full & ~rm)) >= 2:
-                        is2k = False
-                        break
-                if not is2k:
-                    break
-        if is2k and tough_gt1:
-            free = find_induced_p2_plus_kp1(G, k) is None
-        else:
-            free = None  # not needed for the light verdict
+        is2k = kappa >= 2 * k
+        free = find_induced_p2_plus_kp1(G, k) is None if is2k and tough_gt1 else None
         out[k] = (is2k, free, tough_gt1)
     return out
 
@@ -177,12 +155,12 @@ def quick_hypotheses(G: Graph, ks: tuple[int, ...]) -> dict[int, tuple[bool, boo
 
 
 def _select_pairs(n: int, policy: PairPolicy, seed: int, idx: int, k: int) -> list[tuple[int, int]]:
-    all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     kind, m = policy
-    if kind == "all":
-        return all_pairs
     if kind == "none":
         return []
+    all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if kind == "all":
+        return all_pairs
     rng = Random(f"hamcert-pairs:{seed}:{idx}:{k}")
     m = min(m, len(all_pairs))
     return sorted(rng.sample(all_pairs, m))
@@ -322,16 +300,16 @@ def run_sweep(
     progress: Callable[[int], None] | None = None,
 ) -> SweepSummary:
     """Drive the sweep; ``sink`` receives one JSON line per record."""
+    _check_capacity(cfg)
     summary = SweepSummary()
     started = time.perf_counter()
     tasks = _task_stream(cfg)
     if cfg.jobs > 1:
         import multiprocessing as mp
 
-        with mp.Pool(cfg.jobs) as pool:
-            for records, delta in pool.imap(
-                _pool_worker, ((t, cfg) for t in tasks), chunksize=256
-            ):
+        # the config goes to each worker once, not with every task
+        with mp.Pool(cfg.jobs, initializer=_init_worker, initargs=(cfg,)) as pool:
+            for records, delta in pool.imap(_pool_worker, tasks, chunksize=256):
                 _merge(summary, records, delta)
                 _emit(records, sink)
                 if progress and summary.graphs % 50000 == 0:
@@ -344,6 +322,8 @@ def run_sweep(
             if progress and summary.graphs % 50000 == 0:
                 progress(summary.graphs)
     summary.elapsed_s = time.perf_counter() - started
+    if not summary.graphs:
+        raise GraphInputError("the sweep selected no graphs")
     return summary
 
 
@@ -353,19 +333,13 @@ def _emit(records: list[dict], sink) -> None:
             sink(json.dumps(rec, sort_keys=True))
 
 
-def _pool_worker(args):
-    task, cfg = args
-    return process_task(task, cfg)
+_worker_cfg: SweepConfig | None = None  # set in each pool worker by _init_worker
 
 
-def extraction_record(G: Graph, k: int, u: int, v: int) -> dict:
-    """Single extraction with validation, as a serializable report."""
-    res = extract(G, k, u, v)
-    d = outcome_to_dict(res.outcome, k, u, v)
-    report = validate_outcome(G, k, u, v, res.outcome)
-    return {
-        "outcome": d,
-        "trace": list(res.trace),
-        "validated": report.accepted,
-        "validation_code": report.code,
-    }
+def _init_worker(cfg: SweepConfig) -> None:
+    global _worker_cfg
+    _worker_cfg = cfg
+
+
+def _pool_worker(task: tuple) -> tuple[list[dict], dict]:
+    return process_task(task, _worker_cfg)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hamcert import complete_bipartite, write_graph6
+from hamcert import complete_bipartite, complete_graph, invariants, write_graph6
 from hamcert.cli import main, tightness_report
 
 
@@ -50,6 +50,15 @@ class TestInvariantsCommand:
         f.write_text(K44 + "\n")
         code, out, _ = run_cli(capsys, "invariants", "--input", str(f), "--k", "2")
         assert code == 0 and "connectivity=4" in out
+
+    def test_over_cap_exits_2_before_any_search(self, capsys, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("searched a graph beyond the cut-scan ceiling")
+
+        monkeypatch.setattr(invariants, "vertex_connectivity", forbidden)
+        monkeypatch.setattr(invariants, "find_induced_p2_plus_kp1", forbidden)
+        code, _, err = run_cli(capsys, "invariants", "--family", "gnp:17,1/2", "--seed", "1", "--k", "1")
+        assert code == 2 and "capped at n=16" in err
 
 
 class TestExtractCommand:
@@ -122,6 +131,35 @@ class TestSweepCommand:
     def test_gnp_requires_seed(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--family", "gnp:8,1/2", "--k", "1")
         assert code == 2 and "seed" in err
+
+    def test_light_sweep_over_cap_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--family", "gnp:24,9/10", "--seed", "1", "--k", "1")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "capped at n=16" in err
+
+    def test_input_graph_over_cap_exits_2(self, capsys, tmp_path):
+        f = tmp_path / "graphs.g6"
+        f.write_text(K44 + "\n" + write_graph6(complete_graph(17)) + "\n")
+        code, out, err = run_cli(capsys, "sweep", "--input", str(f), "--k", "1")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "capped at n=16" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--pairs", "sample:x"),
+            ("--pairs", "sample:-1"),
+            ("--samples", "-3"),
+            ("--samples", "0"),
+        ],
+    )
+    def test_bad_numbers_exit_2(self, capsys, flags):
+        code, out, err = run_cli(
+            capsys, "sweep", "--family", "cycle:6", "--family", "gnp:6,1/2", "--seed", "1",
+            "--k", "1", *flags,
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
 
     def test_input_file_sweep(self, capsys, tmp_path):
         f = tmp_path / "graphs.g6"

@@ -1,5 +1,6 @@
 import pytest
 from fractions import Fraction
+from random import Random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from hamcert import (
     path_graph,
     write_graph6,
 )
+from hamcert.graph import components_masks
 
 
 def random_graph_strategy(max_n=8):
@@ -59,6 +61,11 @@ class TestGraph:
     def test_rejects_too_large(self):
         with pytest.raises(CapacityError):
             build_graph(63, [])
+        # rejected before the pair table of K_n is built
+        with pytest.raises(CapacityError):
+            gnp_graph(10**5, Fraction(1, 2), seed=0)
+        with pytest.raises(CapacityError):
+            graph_from_code(10**5, 0)
 
     def test_complete_detection(self):
         assert complete_graph(5).is_complete()
@@ -79,6 +86,33 @@ class TestComponents:
     def test_removal_range_checked(self):
         with pytest.raises(GraphInputError):
             components_after_removal(cycle_graph(4), [7])
+
+    def test_frontier_fill_matches_reference(self):
+        def reference(adj, remaining):
+            """The iterative fill the frontier fill replaced: regrow each
+            component from scratch until it stops changing."""
+            out = []
+            rem = remaining
+            while rem:
+                comp = rem & -rem
+                while True:
+                    grown = comp
+                    for v in range(len(adj)):
+                        if comp >> v & 1:
+                            grown |= adj[v] & rem
+                    if grown == comp:
+                        break
+                    comp = grown
+                out.append(comp)
+                rem &= ~comp
+            return out
+
+        rng = Random("hamcert-tests:fill")
+        for _ in range(10_000):
+            n = rng.randint(1, 16)
+            G = graph_from_code(n, rng.getrandbits(n * (n - 1) // 2))
+            remaining = rng.getrandbits(n)
+            assert components_masks(G.adj, remaining) == reference(G.adj, remaining)
 
 
 class TestFamilies:
@@ -116,6 +150,14 @@ class TestFamilies:
         # lexicographic pair order: bit 0 is (0,1), bit 1 is (0,2), bit 2 is (0,3)
         G = graph_from_code(4, 0b101)
         assert G.edges() == [(0, 1), (0, 3)]
+
+    def test_graph_from_code_range(self):
+        assert graph_from_code(7, (1 << 21) - 1).is_complete()
+        for n, code in ((7, -1), (7, 1 << 21), (4, 1 << 64), (1, 1)):
+            with pytest.raises(GraphInputError):
+                graph_from_code(n, code)
+        with pytest.raises(GraphInputError):
+            graph_from_code(0, 0)
 
     def test_parse_family(self):
         assert parse_family("complete:5").kind == "complete"

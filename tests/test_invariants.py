@@ -108,6 +108,22 @@ class TestToughness:
                         best = r if best is None else min(best, r)
             assert toughness(G).value == best
 
+    def test_witness_tie_break(self):
+        # among cuts of least ratio: fewest vertices, then lexicographically first
+        from itertools import combinations
+
+        for n in range(2, 6):
+            for G in exhaustive_graphs(n):
+                if G.is_complete():
+                    continue
+                cuts = []
+                for size in range(n - 1):
+                    for cut in combinations(range(n), size):
+                        c = len(components_after_removal(G, cut))
+                        if c >= 2:
+                            cuts.append((Fraction(size, c), size, cut))
+                assert toughness(G).cut == frozenset(min(cuts)[2])
+
     def test_is_t_tough(self):
         assert is_t_tough(cycle_graph(5), Fraction(1))
         assert not is_t_tough(path_graph(4), Fraction(1))
