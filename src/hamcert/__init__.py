@@ -36,7 +36,6 @@ from .invariants import (
     hamilton_path_between,
     hypothesis_check,
     is_hamiltonian_connected,
-    is_t_tough,
     toughness,
     vertex_connectivity,
     vertex_connectivity_bruteforce,
@@ -92,7 +91,6 @@ __all__ = [
     "hypothesis_check",
     "is_connected",
     "is_hamiltonian_connected",
-    "is_t_tough",
     "outcome_from_dict",
     "outcome_from_json",
     "outcome_to_dict",

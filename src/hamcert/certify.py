@@ -112,7 +112,14 @@ def _check_toughness(G: Graph, outcome: ToughnessWitness) -> ValidationReport:
 
 
 def validate_outcome(G: Graph, k: int, u: int, v: int, outcome: Outcome) -> ValidationReport:
-    """Accept iff the outcome proves what its kind claims about (G,k,u,v)."""
+    """Accept iff the outcome proves what its kind claims about (G,k,u,v);
+    a claim about k < 1 or about a pair that is not two distinct vertices
+    of G is rejected whatever its kind."""
+    kind = getattr(outcome, "kind", "unknown")
+    if k < 1:
+        return _reject(kind, "bad-k", f"k={k} is below 1")
+    if not (0 <= u < G.n and 0 <= v < G.n) or u == v:
+        return _reject(kind, "bad-pair", f"({u},{v}) is not two distinct vertices of G")
     if isinstance(outcome, HamiltonPath):
         return _check_hamilton(G, u, v, outcome)
     if isinstance(outcome, SmallCut):
@@ -121,4 +128,4 @@ def validate_outcome(G: Graph, k: int, u: int, v: int, outcome: Outcome) -> Vali
         return _check_forbidden(G, k, outcome)
     if isinstance(outcome, ToughnessWitness):
         return _check_toughness(G, outcome)
-    return _reject(getattr(outcome, "kind", "unknown"), "unknown-kind", "not a validatable outcome")
+    return _reject(kind, "unknown-kind", "not a validatable outcome")

@@ -1,14 +1,18 @@
 """Certified Hamilton-path extraction.
 
-The engine keeps an oriented (u,v)-path and repeatedly either applies an
-explicit path-lengthening rotation or emits a machine-checkable
-certificate that one of the three hypotheses (2k-connectivity, freeness
-from the edge-plus-k-isolated-vertices pattern, toughness > 1) fails.
+The engine keeps an oriented (u,v)-path and applies the paper's case
+analysis as a fixed cascade, rules 1-9, and nothing else. Each step
+either lengthens the path by an explicit rotation or emits a
+machine-checkable certificate that one of the three hypotheses
+(2k-connectivity, freeness from the edge-plus-k-isolated-vertices
+pattern, toughness > 1) fails. When rule 7, 8 or 9 can do neither, the
+step is reported as ``Stalled`` under that rule's name, never rescued;
+on a graph meeting all three hypotheses that is a bug.
 
 Every rotation template rebuilds the path from segments of itself, some
-reversed, plus off-path vertices; every certificate is assembled from
-the concrete adjacency facts the scans established, and self-validated
-before being returned.
+reversed, plus off-path vertices, and is checked before it is returned;
+every certificate is assembled from the concrete adjacency facts the
+scans established.
 """
 
 from __future__ import annotations
@@ -61,13 +65,6 @@ class OrientedPath:
 
     def pred(self, w: int) -> int:
         return self.seq[self.pos[w] - 1]
-
-    def shift(self, w: int, offset: int) -> int:
-        """w^{+offset} (negative offset for predecessors)."""
-        i = self.pos[w] + offset
-        if not 0 <= i < len(self.seq):
-            raise EngineError(f"offset {offset} from {w} leaves the path")
-        return self.seq[i]
 
     def vertex_mask(self) -> int:
         return mask_of(self.seq)
@@ -221,27 +218,7 @@ def apply_rotation(G: Graph, P: OrientedPath, plan: RotationPlan) -> OrientedPat
     return result
 
 
-# --- path decomposition -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PathContext:
-    """Structural decomposition around one off-path component.
-
-    ``segments[i]`` holds the path stretch strictly between consecutive
-    component-neighbors (index 0 = before the first neighbor, index t =
-    after the last); derived sets are only built for singleton
-    components.
-    """
-
-    component: frozenset[int]
-    x: int | None
-    nbrs: tuple[int, ...]
-    plus: tuple[int, ...]
-    island: frozenset[int]
-    segments: tuple[tuple[int, ...], ...] | None = None
-    s_prime: frozenset[int] | None = None
-    s_star: frozenset[int] | None = None
+# --- path structure ---------------------------------------------------------
 
 
 def _component_neighbors(G: Graph, P: OrientedPath, comp_mask: int):
@@ -270,59 +247,6 @@ def _odd_sets(segs: tuple[tuple[int, ...], ...]) -> frozenset[int]:
         else:
             out.update(seg[0::2])
     return frozenset(out)
-
-
-def decompose(G: Graph, k: int, P: OrientedPath) -> PathContext | None:
-    """Context for the component holding the lowest off-path vertex;
-    None when the path is already Hamilton."""
-    off = G.full_mask & ~P.vertex_mask()
-    if not off:
-        return None
-    comp_mask = components_masks(G.adj, off)[0]
-    nbrs, plus = _component_neighbors(G, P, comp_mask)
-    island = frozenset(bits(off))
-    if comp_mask.bit_count() != 1 or not nbrs:
-        return PathContext(
-            component=frozenset(bits(comp_mask)),
-            x=None,
-            nbrs=nbrs,
-            plus=plus,
-            island=island,
-        )
-    x = comp_mask.bit_length() - 1
-    segs = _segments(P, nbrs)
-    s_prime = _odd_sets(segs)
-    s_star = frozenset(P.seq) - s_prime
-    return PathContext(
-        component=frozenset((x,)),
-        x=x,
-        nbrs=nbrs,
-        plus=plus,
-        island=island,
-        segments=segs,
-        s_prime=s_prime,
-        s_star=s_star,
-    )
-
-
-# --- step outcomes ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    kind: str  # "extended" | "hamilton" | "certified" | "stalled"
-    rule: str
-    path: OrientedPath | None = None
-    certificate: Outcome | None = None
-    diagnostic: str = ""
-
-
-def _extended(rule: str, path: OrientedPath) -> StepOutcome:
-    return StepOutcome(kind="extended", rule=rule, path=path)
-
-
-def _certified(rule: str, certificate: Outcome) -> StepOutcome:
-    return StepOutcome(kind="certified", rule=rule, certificate=certificate)
 
 
 # --- helpers ----------------------------------------------------------------
@@ -432,7 +356,6 @@ class _Frame:
     nbrs: tuple[int, ...]
     plus: tuple[int, ...]
     plus_mask: int
-    reversed_frame: bool = False
 
 
 def _make_frame(G: Graph, P: OrientedPath, x: int, rev: bool) -> _Frame:
@@ -445,17 +368,18 @@ def _make_frame(G: Graph, P: OrientedPath, x: int, rev: bool) -> _Frame:
         nbrs=nbrs,
         plus=plus,
         plus_mask=mask_of(plus),
-        reversed_frame=rev,
     )
 
 
-def _scan_segment(G: Graph, k: int, fr: _Frame, i: int, seg: tuple[int, ...]):
+def _scan_segment(
+    G: Graph, k: int, fr: _Frame, i: int, seg: tuple[int, ...]
+) -> ThreeCase | ForbiddenInduced | None:
     """Parity scan of one segment (claims 3/4 machinery).
 
-    Returns None when clean, else ("rotate", plan) or ("certify",
-    witness). Odd positions must avoid the successor set (just the
-    anchor successor when 2k-1 == 1); even positions must see at least
-    k+1 members of the reference set.
+    Returns None when clean, else the rotation plan or the forbidden
+    witness the scan found. Odd positions must avoid the successor set
+    (just the anchor successor when 2k-1 == 1); even positions must see
+    at least k+1 members of the reference set.
     """
     P, x = fr.path, fr.x
     anchor_succ = seg[0]
@@ -484,18 +408,15 @@ def _scan_segment(G: Graph, k: int, fr: _Frame, i: int, seg: tuple[int, ...]):
         cnt = (G.adj[w] & x_mask).bit_count()
         if j % 2 == 0:
             if cnt <= k:
-                edge = (seg[j - 2], w)
-                witness = _forbidden_or_bug(G, k, edge, [x] + X)
-                return ("certify", witness)
+                return _forbidden_or_bug(G, k, (seg[j - 2], w), [x] + X)
         else:
             if cnt <= k:
-                witness = _forbidden_or_bug(G, k, (xr, w), [x] + X)
-                return ("certify", witness)
+                return _forbidden_or_bug(G, k, (xr, w), [x] + X)
             a = seg[j - 2]
             common = G.adj[a] & G.adj[w] & x_mask
             if common.bit_count() < 2:
                 raise EngineError("common-neighbor count dropped below two")
-            return ("rotate", _three_case_plan(P, fr.nbrs, i, a, common, x))
+            return _three_case_plan(P, fr.nbrs, i, a, common, x)
     return None
 
 
@@ -514,7 +435,12 @@ def _three_case_plan(
     return ThreeCase(case=case, a=a, xp=xp, xq=xq, x=x)
 
 
-def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int) -> StepOutcome:
+# One step of the cascade: the rule that fired, and either the lengthened
+# path or the terminal outcome.
+Step = tuple[str, OrientedPath | Outcome]
+
+
+def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int) -> Step:
     """Rules 5-9: the parity scans, the even-segment rule, the
     independence scans, and the toughness endgame, in fixed order."""
     fwd = _make_frame(G, P, x, rev=False)
@@ -528,7 +454,7 @@ def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int) -> StepOutcome:
             continue
         hit = _scan_segment(G, k, fwd, i, seg)
         if hit is not None:
-            return _scan_result("rule5", G, P, hit, reversed_frame=False)
+            return "rule5", _scan_result(G, P, hit, rev=False)
     if segs[0]:
         rev = _make_frame(G, P, x, rev=True)
         # the reversed successor set was never covered by rule 2
@@ -538,11 +464,11 @@ def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int) -> StepOutcome:
             plan = ViaComponentPath(
                 xi=rev.path.pred(wi), xj=rev.path.pred(wj), interior=(x,)
             )
-            return _extended("rule5", apply_rotation(G, rev.path, plan).reversed())
+            return "rule5", apply_rotation(G, rev.path, plan).reversed()
         tail = tuple(reversed(segs[0]))
         hit = _scan_segment(G, k, rev, t, tail)
         if hit is not None:
-            return _scan_result("rule5", G, rev.path, hit, reversed_frame=True)
+            return "rule5", _scan_result(G, rev.path, hit, rev=True)
 
     # rule 6: every interior segment must have odd length
     for i in range(1, t):
@@ -554,8 +480,7 @@ def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int) -> StepOutcome:
         nxt = fwd.nbrs[i]
         cnt_next = (G.adj[nxt] & x_mask).bit_count()
         if cnt_next <= k - 1:
-            witness = _forbidden_or_bug(G, k, (x, nxt), X)
-            return _certified("rule6", witness)
+            return "rule6", _forbidden_or_bug(G, k, (x, nxt), X)
         a = seg[-1]
         if (G.adj[a] & x_mask).bit_count() <= k:
             raise EngineError("even-segment endpoint lost its reference count")
@@ -563,7 +488,7 @@ def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int) -> StepOutcome:
         if common.bit_count() < 2:
             raise EngineError("even-segment rotation lacks common neighbors")
         plan = _three_case_plan(P, fwd.nbrs, i, a, common, x)
-        return _extended("rule6", apply_rotation(G, P, plan))
+        return "rule6", apply_rotation(G, P, plan)
 
     s_prime = _odd_sets(segs)
     minus = tuple(P.pred(w) for w in fwd.nbrs if w != P.first)
@@ -576,12 +501,10 @@ def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int) -> StepOutcome:
                 continue
             witness = _forbidden(G, k, (z, w), wide_candidates)
             if witness is not None:
-                return _certified("rule7", witness)
-            return StepOutcome(
-                kind="stalled",
-                rule="rule7",
-                diagnostic=f"edge {z}-{w} inside the odd-position set, "
-                "but no independent witness set of the required size",
+                return "rule7", witness
+            return "rule7", Stalled(
+                f"edge {z}-{w} inside the odd-position set, "
+                "but no independent witness set of the required size"
             )
 
     # rule 8: outside vertices must avoid the successor set and S'
@@ -591,20 +514,17 @@ def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int) -> StepOutcome:
         if len(plus_hits) >= 2:
             xp, xq = (P.pred(w) for w in plus_hits[:2])
             plan = OutsideTwoNeighbors(y=y, xp=xp, xq=xq, x=x)
-            return _extended("rule8", apply_rotation(G, P, plan))
+            return "rule8", apply_rotation(G, P, plan)
         if len(plus_hits) == 1:
-            witness = _forbidden_or_bug(G, k, (y, plus_hits[0]), [x] + list(fwd.plus))
-            return _certified("rule8", witness)
+            return "rule8", _forbidden_or_bug(G, k, (y, plus_hits[0]), [x] + list(fwd.plus))
         s_hits = sorted(bits(G.adj[y] & mask_of(s_prime)))
         if s_hits:
             witness = _forbidden(G, k, (y, s_hits[0]), wide_candidates)
             if witness is not None:
-                return _certified("rule8", witness)
-            return StepOutcome(
-                kind="stalled",
-                rule="rule8",
-                diagnostic=f"outside vertex {y} touches the odd-position set, "
-                "but no independent witness set of the required size",
+                return "rule8", witness
+            return "rule8", Stalled(
+                f"outside vertex {y} touches the odd-position set, "
+                "but no independent witness set of the required size"
             )
 
     # rule 9: the toughness endgame
@@ -612,31 +532,22 @@ def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int) -> StepOutcome:
     witness_set = frozenset(bits(G.full_mask & ~P.vertex_mask())) | s_prime
     problem = _independent_violation(G, sorted(witness_set))
     if problem is not None:
-        return StepOutcome(
-            kind="stalled",
-            rule="rule9",
-            diagnostic=f"endgame witness set not independent at {problem}",
-        )
+        return "rule9", Stalled(f"endgame witness set not independent at {problem}")
     if len(s_star) > len(witness_set) or len(witness_set) < 2:
-        return StepOutcome(
-            kind="stalled",
-            rule="rule9",
-            diagnostic="endgame counting failed: "
-            f"|cut|={len(s_star)}, |witness|={len(witness_set)}",
+        return "rule9", Stalled(
+            "endgame counting failed: "
+            f"|cut|={len(s_star)}, |witness|={len(witness_set)}"
         )
-    return _certified(
-        "rule9", ToughnessWitness(cut=s_star, independent=witness_set)
-    )
+    return "rule9", ToughnessWitness(cut=s_star, independent=witness_set)
 
 
-def _scan_result(rule, G, path, hit, reversed_frame) -> StepOutcome:
-    action, payload = hit
-    if action == "certify":
-        return _certified(rule, payload)
-    new = apply_rotation(G, path, payload)
-    if reversed_frame:
-        new = new.reversed()
-    return _extended(rule, new)
+def _scan_result(
+    G: Graph, path: OrientedPath, hit: ThreeCase | ForbiddenInduced, rev: bool
+) -> OrientedPath | ForbiddenInduced:
+    if isinstance(hit, ForbiddenInduced):
+        return hit
+    new = apply_rotation(G, path, hit)
+    return new.reversed() if rev else new
 
 
 def _independent_violation(G: Graph, vertices) -> tuple[int, int] | None:
@@ -649,21 +560,11 @@ def _independent_violation(G: Graph, vertices) -> tuple[int, int] | None:
     return None
 
 
-def _insertion_fallback(G: Graph, P: OrientedPath) -> OrientedPath | None:
-    """Last-resort single-vertex insertion before conceding a stall."""
-    off = G.full_mask & ~P.vertex_mask()
-    for y in bits(off):
-        for a, b in zip(P.seq, P.seq[1:]):
-            if G.has_edge(y, a) and G.has_edge(y, b):
-                return apply_rotation(G, P, InsertAtConsecutive(after=a, interior=(y,)))
-    return None
-
-
-def extend_or_certify(G: Graph, k: int, P: OrientedPath) -> StepOutcome:
+def extend_or_certify(G: Graph, k: int, P: OrientedPath) -> Step:
     """One step: apply the first applicable rule of the fixed cascade."""
     off = G.full_mask & ~P.vertex_mask()
     if not off:
-        return StepOutcome(kind="hamilton", rule="done", path=P)
+        return "done", HamiltonPath(path=P.seq)
     comps = components_masks(G.adj, off)
 
     # rule 1: consecutive neighbors of any component admit a splice
@@ -673,7 +574,7 @@ def extend_or_certify(G: Graph, k: int, P: OrientedPath) -> StepOutcome:
             if P.position(b) == P.position(a) + 1:
                 interior = _path_through_component(G, comp, a, b)
                 plan = InsertAtConsecutive(after=a, interior=interior)
-                return _extended("rule1", apply_rotation(G, P, plan))
+                return "rule1", apply_rotation(G, P, plan)
 
     # rule 2: adjacent successors admit a detour through the component
     for comp in comps:
@@ -684,7 +585,7 @@ def extend_or_certify(G: Graph, k: int, P: OrientedPath) -> StepOutcome:
             xi, xj = P.pred(wi), P.pred(wj)
             interior = _path_through_component(G, comp, xi, xj)
             plan = ViaComponentPath(xi=xi, xj=xj, interior=interior)
-            return _extended("rule2", apply_rotation(G, P, plan))
+            return "rule2", apply_rotation(G, P, plan)
 
     # rule 3: a component with few path neighbors is a small cut
     for comp in comps:
@@ -694,7 +595,7 @@ def extend_or_certify(G: Graph, k: int, P: OrientedPath) -> StepOutcome:
             rest = G.full_mask & ~comp & ~mask_of(nbrs)
             if not rest:
                 raise EngineError("small-cut rule reached with nothing separated")
-            return _certified("rule3", SmallCut(cut=cut))
+            return "rule3", SmallCut(cut=cut)
 
     # rule 4: a component edge joins an independent successor set
     for comp in comps:
@@ -704,17 +605,11 @@ def extend_or_certify(G: Graph, k: int, P: OrientedPath) -> StepOutcome:
         inner = G.adj[z] & comp
         w = (inner & -inner).bit_length() - 1
         _, plus = _component_neighbors(G, P, comp)
-        witness = _forbidden_or_bug(G, k, (z, w), list(plus))
-        return _certified("rule4", witness)
+        return "rule4", _forbidden_or_bug(G, k, (z, w), list(plus))
 
     # rules 5-9 on the singleton component with the lowest vertex
     x = (comps[0] & -comps[0]).bit_length() - 1
-    outcome = _singleton_phase(G, k, P, x)
-    if outcome.kind == "stalled":
-        rescued = _insertion_fallback(G, P)
-        if rescued is not None:
-            return _extended("fallback", rescued)
-    return outcome
+    return _singleton_phase(G, k, P, x)
 
 
 # --- end-to-end extraction --------------------------------------------------
@@ -754,26 +649,11 @@ def extract(G: Graph, k: int, u: int, v: int) -> ExtractionResult:
     P = initial_path(G, u, v)
     trace: list[str] = []
     for _ in range(G.n + 1):
-        step = extend_or_certify(G, k, P)
-        trace.append(step.rule)
-        if step.kind == "extended":
-            if len(step.path) <= len(P):
-                raise EngineError("non-increasing extension step")
-            P = step.path
-        elif step.kind == "hamilton":
-            return ExtractionResult(
-                outcome=HamiltonPath(path=P.seq), trace=tuple(trace), k=k, u=u, v=v
-            )
-        elif step.kind == "certified":
-            return ExtractionResult(
-                outcome=step.certificate, trace=tuple(trace), k=k, u=u, v=v
-            )
-        else:
-            return ExtractionResult(
-                outcome=Stalled(diagnostic=step.diagnostic),
-                trace=tuple(trace),
-                k=k,
-                u=u,
-                v=v,
-            )
+        rule, step = extend_or_certify(G, k, P)
+        trace.append(rule)
+        if not isinstance(step, OrientedPath):
+            return ExtractionResult(outcome=step, trace=tuple(trace), k=k, u=u, v=v)
+        if len(step) <= len(P):
+            raise EngineError("non-increasing extension step")
+        P = step
     raise EngineError("extraction exceeded the step bound")

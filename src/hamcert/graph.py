@@ -84,10 +84,6 @@ class Graph:
         full = self.full_mask
         return all(self.adj[u] == full ^ (1 << u) for u in range(self.n))
 
-    def complement_candidates(self, u: int) -> int:
-        """Mask of vertices distinct from and non-adjacent to u."""
-        return self.full_mask & ~self.adj[u] & ~(1 << u)
-
 
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; duplicates coalesce silently."""
@@ -152,13 +148,6 @@ class FamilySpec:
     t: int = 0
     p: Fraction = Fraction(0)
     seed: int = 0
-
-    def describe(self) -> str:
-        if self.kind == "bipartite":
-            return f"bipartite:{self.s},{self.t}"
-        if self.kind == "gnp":
-            return f"gnp:{self.n},{self.p.numerator}/{self.p.denominator}"
-        return f"{self.kind}:{self.n}"
 
 
 def complete_graph(n: int) -> Graph:
@@ -226,8 +215,9 @@ def exhaustive_graphs(n: int) -> Iterator[Graph]:
         yield graph_from_code(n, code)
 
 
-def generate(spec: FamilySpec, samples: int | None = None) -> Iterator[Graph]:
-    """Stream the graphs of a family; deterministic given the spec."""
+def generate(spec: FamilySpec) -> Iterator[Graph]:
+    """Stream the graphs of a family; deterministic given the spec. A gnp
+    spec gives its first sample; sweeps draw further samples by index."""
     if spec.kind == "complete":
         yield complete_graph(spec.n)
     elif spec.kind == "bipartite":
@@ -237,9 +227,7 @@ def generate(spec: FamilySpec, samples: int | None = None) -> Iterator[Graph]:
     elif spec.kind == "path":
         yield path_graph(spec.n)
     elif spec.kind == "gnp":
-        count = 1 if samples is None else samples
-        for i in range(count):
-            yield gnp_graph(spec.n, spec.p, spec.seed, i)
+        yield gnp_graph(spec.n, spec.p, spec.seed)
     elif spec.kind == "exhaustive":
         yield from exhaustive_graphs(spec.n)
     else:

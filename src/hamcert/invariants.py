@@ -106,9 +106,6 @@ class Toughness:
     cut: frozenset[int] = frozenset()
     component_count: int = 0
 
-    def __ge__(self, t: Fraction) -> bool:
-        return self.is_infinite or self.value >= t
-
     def describe(self) -> str:
         if self.is_infinite:
             return "inf"
@@ -177,12 +174,6 @@ def cut_scan(G: Graph) -> tuple[int, Toughness]:
 def toughness(G: Graph) -> Toughness:
     """Exact minimization of |S| / c(G-S) over all cuts, with witness."""
     return cut_scan(G)[1]
-
-
-def is_t_tough(G: Graph, t: Fraction) -> bool:
-    if t <= 0:
-        raise GraphInputError("t must be positive")
-    return toughness(G) >= Fraction(t)
 
 
 # --- forbidden induced pattern ---------------------------------------------
@@ -283,22 +274,17 @@ def hamilton_path_between(G: Graph, u: int, v: int) -> list[int] | None:
 class HamiltonConnectivityReport:
     is_hamiltonian_connected: bool
     failing_pair: tuple[int, int] | None = None
-    checked_pairs: int = 0
 
 
-def is_hamiltonian_connected(G: Graph, stop_at_failure: bool = True) -> HamiltonConnectivityReport:
+def is_hamiltonian_connected(G: Graph) -> HamiltonConnectivityReport:
+    """Hamilton path between every pair; stops at the first pair without one."""
     if G.n < 3:
         raise GraphInputError("hamiltonian-connectivity needs n >= 3")
-    failing = None
-    checked = 0
     for u in range(G.n):
         for v in range(u + 1, G.n):
-            checked += 1
             if hamilton_path_between(G, u, v) is None:
-                failing = (u, v)
-                if stop_at_failure:
-                    return HamiltonConnectivityReport(False, failing, checked)
-    return HamiltonConnectivityReport(failing is None, failing, checked)
+                return HamiltonConnectivityReport(False, (u, v))
+    return HamiltonConnectivityReport(True)
 
 
 # --- combined hypothesis report ---------------------------------------------

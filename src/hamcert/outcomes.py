@@ -79,29 +79,47 @@ def outcome_to_json(outcome: Outcome, k: int, u: int, v: int) -> str:
     return json.dumps(outcome_to_dict(outcome, k, u, v), sort_keys=True)
 
 
+def _json_int(x, name: str) -> int:
+    # bool is an int subclass, and JSON floats or strings must not be coerced
+    if type(x) is not int:
+        raise GraphInputError(
+            f"malformed outcome record: {name} needs an integer, got {type(x).__name__}"
+        )
+    return x
+
+
+def _json_ints(d: dict, name: str) -> list[int]:
+    xs = d[name]
+    if not isinstance(xs, list):
+        raise GraphInputError(f"malformed outcome record: {name} needs a list of integers")
+    return [_json_int(x, name) for x in xs]
+
+
 def outcome_from_dict(d: dict) -> tuple[Outcome, int, int, int]:
-    """Inverse of outcome_to_dict; returns (outcome, k, u, v)."""
+    """Inverse of outcome_to_dict; returns (outcome, k, u, v). Every number
+    must be a JSON integer; anything else raises GraphInputError."""
+    if not isinstance(d, dict):
+        raise GraphInputError("malformed outcome record: not a JSON object")
     try:
         kind = d["kind"]
-        k, u, v = int(d["k"]), int(d["u"]), int(d["v"])
+        k, u, v = (_json_int(d[name], name) for name in ("k", "u", "v"))
         if kind == "hamilton_path":
-            return HamiltonPath(tuple(d["path"])), k, u, v
+            return HamiltonPath(tuple(_json_ints(d, "path"))), k, u, v
         if kind == "small_cut":
-            return SmallCut(frozenset(d["cut"])), k, u, v
+            return SmallCut(frozenset(_json_ints(d, "cut"))), k, u, v
         if kind == "forbidden_induced":
-            z, w = d["edge"]
-            return ForbiddenInduced((z, w), frozenset(d["independent"])), k, u, v
+            edge = _json_ints(d, "edge")
+            if len(edge) != 2:
+                raise GraphInputError("malformed outcome record: edge needs exactly two vertices")
+            independent = frozenset(_json_ints(d, "independent"))
+            return ForbiddenInduced(tuple(edge), independent), k, u, v
         if kind == "toughness_witness":
-            return (
-                ToughnessWitness(frozenset(d["cut"]), frozenset(d["independent"])),
-                k,
-                u,
-                v,
-            )
+            cut = frozenset(_json_ints(d, "cut"))
+            return ToughnessWitness(cut, frozenset(_json_ints(d, "independent"))), k, u, v
         if kind == "stalled":
             return Stalled(str(d.get("diagnostic", ""))), k, u, v
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GraphInputError(f"malformed outcome record: {exc}") from exc
+    except KeyError as exc:
+        raise GraphInputError(f"malformed outcome record: missing {exc}") from exc
     raise GraphInputError(f"unknown outcome kind {kind!r}")
 
 
@@ -110,4 +128,6 @@ def outcome_from_json(text: str) -> tuple[Outcome, int, int, int]:
         d = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphInputError(f"outcome record is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise GraphInputError("outcome record is nested too deeply") from exc
     return outcome_from_dict(d)

@@ -21,7 +21,7 @@ from typing import Callable, Iterator
 
 from .certify import validate_outcome
 from .engine import extract
-from .errors import CapacityError, GraphInputError
+from .errors import CapacityError, EngineError, GraphInputError
 from .graph import (
     EXHAUSTIVE_CEILING,
     FamilySpec,
@@ -215,7 +215,12 @@ def process_task(task: tuple, cfg: SweepConfig) -> tuple[list[dict], dict]:
         tally: dict[str, int] = {}
         valid = 0
         for (u, v) in pairs:
-            res = extract(G, k, u, v)
+            try:
+                res = extract(G, k, u, v)
+            except EngineError as exc:
+                word = word or write_graph6(G)
+                delta["violations"].append(f"engine error on {word} k={k} pair=({u},{v}): {exc}")
+                continue
             kind = res.outcome.kind
             tally[kind] = tally.get(kind, 0) + 1
             overshoot = res.extended_steps - max(0, n - 2)

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamcert import (
     ForbiddenInduced,
@@ -9,6 +11,7 @@ from hamcert import (
     SmallCut,
     Stalled,
     ToughnessWitness,
+    ValidationReport,
     build_graph,
     complete_bipartite,
     complete_graph,
@@ -148,6 +151,51 @@ class TestToughnessValidation:
         assert not rep.accepted
 
 
+C5_CLAIMS = [
+    HamiltonPath((0, 1, 2, 3, 4)),
+    SmallCut(frozenset({0, 2})),
+    ForbiddenInduced(edge=(0, 1), independent=frozenset({3})),
+    ToughnessWitness(cut=frozenset({0, 2}), independent=frozenset({1, 3, 4})),
+    Stalled("x"),
+]
+
+
+class TestClaimValidation:
+    """Whatever its kind, a record must be about a real (G, k, u, v)."""
+
+    @pytest.mark.parametrize("out", C5_CLAIMS, ids=lambda o: o.kind)
+    def test_rejects_k_below_one(self, out):
+        rep = validate_outcome(cycle_graph(5), 0, 0, 4, out)
+        assert not rep.accepted and rep.code == "bad-k"
+
+    @pytest.mark.parametrize("out", C5_CLAIMS, ids=lambda o: o.kind)
+    def test_rejects_u_out_of_range(self, out):
+        for u in (-1, 5):
+            rep = validate_outcome(cycle_graph(5), 1, u, 4, out)
+            assert not rep.accepted and rep.code == "bad-pair"
+
+    @pytest.mark.parametrize("out", C5_CLAIMS, ids=lambda o: o.kind)
+    def test_rejects_v_out_of_range(self, out):
+        for v in (-1, 5):
+            rep = validate_outcome(cycle_graph(5), 1, 0, v, out)
+            assert not rep.accepted and rep.code == "bad-pair"
+
+    @pytest.mark.parametrize("out", C5_CLAIMS, ids=lambda o: o.kind)
+    def test_rejects_equal_endpoints(self, out):
+        rep = validate_outcome(cycle_graph(5), 1, 4, 4, out)
+        assert not rep.accepted and rep.code == "bad-pair"
+
+    def test_small_cut_about_no_pair_of_the_graph(self):
+        G = cycle_graph(5)
+        out = SmallCut(frozenset({0, 2}))
+        assert validate_outcome(G, 2, 0, 1, out).accepted
+        assert not validate_outcome(G, 2, 99, 99, out).accepted
+
+    def test_forbidden_pattern_with_k_zero(self):
+        out = ForbiddenInduced(edge=(0, 1), independent=frozenset())
+        assert not validate_outcome(cycle_graph(5), 0, 0, 2, out).accepted
+
+
 class TestStalledAndUnknown:
     def test_stalled_never_validates(self):
         rep = validate_outcome(complete_graph(4), 1, 0, 1, Stalled("x"))
@@ -181,6 +229,76 @@ class TestSerialization:
             outcome_from_json('{"kind": "mystery", "k": 1, "u": 0, "v": 1}')
         with pytest.raises(GraphInputError):
             outcome_from_json('{"kind": "small_cut"}')
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"kind": "small_cut", "cut": [1.0]},
+            {"kind": "small_cut", "cut": [True]},
+            {"kind": "small_cut", "cut": ["1"]},
+            {"kind": "small_cut", "cut": "1"},
+            {"kind": "small_cut", "k": True, "cut": [1]},
+            {"kind": "small_cut", "k": "1", "cut": [1]},
+            {"kind": "small_cut", "u": 0.0, "cut": [1]},
+            {"kind": "small_cut", "v": None, "cut": [1]},
+            {"kind": "hamilton_path", "path": [0, 2.0, 1]},
+            {"kind": "forbidden_induced", "edge": [0, 1, 2], "independent": [3]},
+            {"kind": "forbidden_induced", "edge": [0], "independent": [3]},
+            {"kind": "forbidden_induced", "edge": "01", "independent": [3]},
+            {"kind": "forbidden_induced", "edge": [0, 1], "independent": [False]},
+            {"kind": "toughness_witness", "cut": [0], "independent": [1.5]},
+            {"kind": "stalled", "k": 1.0},
+        ],
+    )
+    def test_numbers_must_be_json_integers(self, fields):
+        record = {"k": 1, "u": 0, "v": 1, **fields}
+        with pytest.raises(GraphInputError):
+            outcome_from_json(json.dumps(record))
+
+    @pytest.mark.parametrize("text", ["[]", "1", '"small_cut"', "null", "[" * 100_000])
+    def test_record_must_be_an_object(self, text):
+        with pytest.raises(GraphInputError):
+            outcome_from_json(text)
+
+
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+vertexish = st.integers(-2, 7) | json_scalars
+vertex_lists = st.lists(vertexish, max_size=6) | json_values
+outcome_records = st.fixed_dictionaries(
+    {
+        "kind": st.sampled_from(
+            ["hamilton_path", "small_cut", "forbidden_induced", "toughness_witness", "stalled", "?"]
+        ),
+        "k": vertexish,
+        "u": vertexish,
+        "v": vertexish,
+    },
+    optional={
+        "path": vertex_lists,
+        "cut": vertex_lists,
+        "edge": vertex_lists,
+        "independent": vertex_lists,
+        "diagnostic": json_values,
+    },
+)
+
+
+class TestParseThenValidate:
+    @settings(max_examples=400, deadline=None)
+    @given(json_values | outcome_records)
+    def test_any_json_is_reported_or_rejected_as_input(self, value):
+        """Parsing then validating either yields a report or raises
+        GraphInputError; no other exception escapes."""
+        try:
+            outcome, k, u, v = outcome_from_json(json.dumps(value))
+        except GraphInputError:
+            return
+        assert isinstance(validate_outcome(cycle_graph(5), k, u, v, outcome), ValidationReport)
 
 
 class TestValidatorIndependence:

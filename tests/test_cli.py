@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -227,3 +228,17 @@ class TestValidateCommand:
         f.write_text("{nope}\n")
         code, _, err = run_cli(capsys, "validate", "--graph6", K44, "--outcome", str(f))
         assert code == 2
+
+    @pytest.mark.parametrize("cut", ["[1.0]", "[true]", '["1"]'])
+    def test_non_integer_vertex_exits_2(self, capsys, monkeypatch, cut):
+        record = '{"kind":"small_cut","k":1,"u":0,"v":1,"cut":%s}\n' % cut
+        monkeypatch.setattr("sys.stdin", io.StringIO(record))
+        code, out, err = run_cli(capsys, "validate", "--family", "cycle:5", "--outcome", "-")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_claim_about_no_pair_of_the_graph_is_rejected(self, capsys, monkeypatch):
+        record = '{"kind":"small_cut","k":2,"u":99,"v":99,"cut":[0,2]}\n'
+        monkeypatch.setattr("sys.stdin", io.StringIO(record))
+        code, out, _ = run_cli(capsys, "validate", "--family", "cycle:5", "--outcome", "-")
+        assert code == 1 and "reject (bad-pair" in out

@@ -15,8 +15,10 @@ from hamcert import (
     graph_from_code,
     hamilton_path_between,
     hypothesis_check,
+    parse_graph6,
     validate_outcome,
 )
+from hamcert import engine
 from hamcert.engine import (
     EngineError,
     InsertAtConsecutive,
@@ -25,6 +27,7 @@ from hamcert.engine import (
     ThreeCase,
     ViaComponentPath,
     apply_rotation,
+    extend_or_certify,
     initial_path,
 )
 
@@ -34,13 +37,7 @@ class TestOrientedPath:
         P = OrientedPath((3, 1, 4, 0))
         assert P.first == 3 and P.last == 0
         assert P.succ(1) == 4 and P.pred(4) == 1
-        assert P.shift(1, 2) == 0 and P.shift(0, -3) == 3
         assert len(P) == 4
-
-    def test_shift_bounds(self):
-        P = OrientedPath((0, 1, 2))
-        with pytest.raises(EngineError):
-            P.shift(2, 1)
 
     def test_rejects_repeats(self):
         with pytest.raises(EngineError):
@@ -207,3 +204,21 @@ class TestExtract:
         res = extract(complete_graph(5), 1, 0, 1)
         assert res.trace[-1] == "done"
         assert all(isinstance(r, str) and r for r in res.trace)
+
+    def test_step_is_a_path_or_an_outcome(self):
+        G = cycle_graph(5)
+        rule, step = extend_or_certify(G, 1, OrientedPath((0, 1)))
+        assert rule == "rule1" and step == OrientedPath((0, 4, 3, 2, 1))
+        rule, step = extend_or_certify(G, 1, step)
+        assert (rule, step) == ("done", HamiltonPath((0, 4, 3, 2, 1)))
+
+    def test_stall_is_reported_under_its_rule(self, monkeypatch):
+        """A rule that can neither extend nor certify ends the extraction
+        as Stalled, and the trace names that rule; nothing rescues it."""
+        G = parse_graph6("ELr?")
+        assert extract(G, 1, 2, 3).trace == ("rule1", "rule7")
+        monkeypatch.setattr(engine, "_forbidden", lambda *args: None)
+        res = extract(G, 1, 2, 3)
+        assert isinstance(res.outcome, Stalled)
+        assert res.trace == ("rule1", "rule7")
+        assert not validate_outcome(G, 1, 2, 3, res.outcome).accepted

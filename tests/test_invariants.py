@@ -18,7 +18,6 @@ from hamcert import (
     hamilton_path_between,
     hypothesis_check,
     is_hamiltonian_connected,
-    is_t_tough,
     path_graph,
     toughness,
     vertex_connectivity,
@@ -123,12 +122,6 @@ class TestToughness:
                         if c >= 2:
                             cuts.append((Fraction(size, c), size, cut))
                 assert toughness(G).cut == frozenset(min(cuts)[2])
-
-    def test_is_t_tough(self):
-        assert is_t_tough(cycle_graph(5), Fraction(1))
-        assert not is_t_tough(path_graph(4), Fraction(1))
-        with pytest.raises(GraphInputError):
-            is_t_tough(cycle_graph(4), Fraction(0))
 
     def test_cut_scan_agrees_with_separate_oracles(self):
         for G in small_random_graphs(100, max_n=7, seed_tag="scan"):

@@ -18,7 +18,9 @@ from hamcert import (
     graph_from_code,
     run_sweep,
 )
-from hamcert import sweep
+from hamcert import sweep, write_graph6
+from hamcert.cli import main
+from hamcert.errors import EngineError
 from hamcert.sweep import parse_pair_policy, quick_hypotheses
 
 KS_CHOICES = ((1,), (2,), (1, 2, 3), ())
@@ -116,6 +118,37 @@ class TestRunSweep:
             results.append((summary, records))
         assert results[0][0].graphs == 1 + 40 + 64
         assert results[0] == results[1]
+
+
+def _broken_on_k4(real_extract):
+    def extract(G, k, u, v):
+        if G.is_complete() and (u, v) == (1, 2):
+            raise EngineError("injected fault")
+        return real_extract(G, k, u, v)
+
+    return extract
+
+
+class TestEngineErrors:
+    """An engine bug is recorded as a violation; the sweep carries on."""
+
+    def test_recorded_as_a_violation(self, monkeypatch):
+        monkeypatch.setattr(sweep, "extract", _broken_on_k4(sweep.extract))
+        cfg = SweepConfig(
+            families=(FamilySpec(kind="exhaustive", n=4),), ks=(1,), pair_policy=("all", 0)
+        )
+        summary = run_sweep(cfg)
+        assert summary.graphs == 64
+        word = write_graph6(complete_graph(4))
+        assert summary.violations == [f"engine error on {word} k=1 pair=(1,2): injected fault"]
+        assert not summary.clean
+
+    def test_cli_sweep_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(sweep, "extract", _broken_on_k4(sweep.extract))
+        code = main(["sweep", "--family", "exhaustive:4", "--k", "1", "--pairs", "all"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "graphs=64 " in out and "injected fault" in out
 
 
 class TestPairPolicy:
