@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from fractions import Fraction
 
@@ -100,6 +101,9 @@ def cmd_sweep(args) -> int:
         raise GraphInputError("every k must be at least 1")
     if args.samples < 1:
         raise GraphInputError(f"--samples must be at least 1, got {args.samples}")
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise GraphInputError(f"--jobs must be between 1 and {cpus}, got {args.jobs}")
     families = tuple(parse_family(f) for f in args.family or ())
     input_graphs: tuple = ()
     if args.input:
@@ -283,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphInputError, CapacityError, OSError) as exc:
+    except (GraphInputError, CapacityError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -619,9 +619,6 @@ def extend_or_certify(G: Graph, k: int, P: OrientedPath) -> Step:
 class ExtractionResult:
     outcome: Outcome
     trace: tuple[str, ...]
-    k: int
-    u: int
-    v: int
 
     @property
     def extended_steps(self) -> int:
@@ -639,20 +636,14 @@ def extract(G: Graph, k: int, u: int, v: int) -> ExtractionResult:
     if u == v or not (0 <= u < G.n and 0 <= v < G.n):
         raise GraphInputError("endpoints must be distinct vertices of G")
     if not is_connected(G):
-        return ExtractionResult(
-            outcome=SmallCut(cut=frozenset()),
-            trace=("disconnected",),
-            k=k,
-            u=u,
-            v=v,
-        )
+        return ExtractionResult(outcome=SmallCut(cut=frozenset()), trace=("disconnected",))
     P = initial_path(G, u, v)
     trace: list[str] = []
     for _ in range(G.n + 1):
         rule, step = extend_or_certify(G, k, P)
         trace.append(rule)
         if not isinstance(step, OrientedPath):
-            return ExtractionResult(outcome=step, trace=tuple(trace), k=k, u=u, v=v)
+            return ExtractionResult(outcome=step, trace=tuple(trace))
         if len(step) <= len(P):
             raise EngineError("non-increasing extension step")
         P = step

@@ -22,62 +22,12 @@ TOUGHNESS_CEILING = 16  # subset enumeration; 2^16 cuts
 # --- vertex connectivity ----------------------------------------------------
 
 
-def _local_connectivity(G: Graph, s: int, t: int, cap: int) -> int:
-    """Max number of internally disjoint s-t paths (s,t non-adjacent),
-    by unit-capacity augmentation on the vertex-split digraph.
-    Stops early once the value reaches ``cap``.
-    """
-    n = G.n
-    # nodes: 2u = u_in, 2u+1 = u_out
-    capacity: dict[tuple[int, int], int] = {}
-    for u in range(n):
-        capacity[(2 * u, 2 * u + 1)] = 1 if u not in (s, t) else n
-        for v in bits(G.adj[u]):
-            capacity[(2 * u + 1, 2 * v)] = n
-    out_arcs: dict[int, list[int]] = {x: [] for x in range(2 * n)}
-    for (a, b) in capacity:
-        out_arcs[a].append(b)
-        out_arcs.setdefault(b, []).append(a)  # residual direction
-    source, sink = 2 * s + 1, 2 * t
-    flow = 0
-    while flow < cap:
-        parent = {source: -1}
-        queue = [source]
-        while queue and sink not in parent:
-            nxt = []
-            for a in queue:
-                for b in out_arcs[a]:
-                    if b not in parent and capacity.get((a, b), 0) > 0:
-                        parent[b] = a
-                        nxt.append(b)
-            queue = nxt
-        if sink not in parent:
-            break
-        b = sink
-        while b != source:
-            a = parent[b]
-            capacity[(a, b)] = capacity.get((a, b), 0) - 1
-            capacity[(b, a)] = capacity.get((b, a), 0) + 1
-            b = a
-        flow += 1
-    return flow
-
-
 def vertex_connectivity(G: Graph) -> int:
-    """kappa(G) via minimum vertex cuts between non-adjacent pairs;
-    kappa(K_n) = n - 1 by convention.
+    """kappa(G), the size of a smallest disconnecting set, read off
+    ``cut_scan``; kappa(K_n) = n - 1 by convention. Capped at n = 16 like
+    the scan: a larger graph raises ``CapacityError``.
     """
-    n = G.n
-    if G.is_complete():
-        return n - 1
-    best = n - 1
-    for s in range(n):
-        for t in range(s + 1, n):
-            if not G.has_edge(s, t):
-                best = min(best, _local_connectivity(G, s, t, best))
-                if best == 0:
-                    return 0
-    return best
+    return cut_scan(G)[0]
 
 
 def vertex_connectivity_bruteforce(G: Graph) -> int:

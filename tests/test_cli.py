@@ -1,5 +1,7 @@
 import io
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -162,6 +164,18 @@ class TestSweepCommand:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error:")
 
+    @pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1])
+    def test_jobs_out_of_range_exit_2_before_any_pool(self, capsys, monkeypatch, jobs):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was created")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        code, out, err = run_cli(
+            capsys, "sweep", "--family", "cycle:6", "--k", "1", f"--jobs={jobs}"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_input_file_sweep(self, capsys, tmp_path):
         f = tmp_path / "graphs.g6"
         f.write_text(K44 + "\n" + K44 + "\n")
@@ -242,3 +256,19 @@ class TestValidateCommand:
         monkeypatch.setattr("sys.stdin", io.StringIO(record))
         code, out, _ = run_cli(capsys, "validate", "--family", "cycle:5", "--outcome", "-")
         assert code == 1 and "reject (bad-pair" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("invariants", "--k", "1", "--input"),
+        ("sweep", "--k", "1", "--input"),
+        ("validate", "--graph6", K44, "--outcome"),
+    ],
+)
+def test_non_utf8_file_exits_2(capsys, tmp_path, argv):
+    f = tmp_path / "binary"
+    f.write_bytes(bytes(range(0x80, 0x100)))  # no UTF-8 text starts with a continuation byte
+    code, out, err = run_cli(capsys, *argv, str(f))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -17,6 +17,7 @@ from hamcert import (
     find_induced_p2_plus_kp1,
     graph_from_code,
     run_sweep,
+    vertex_connectivity,
 )
 from hamcert import sweep, write_graph6
 from hamcert.cli import main
@@ -58,6 +59,8 @@ class TestQuickHypotheses:
     def test_capped_before_work(self):
         with pytest.raises(CapacityError):
             quick_hypotheses(complete_graph(17), (1,))
+        with pytest.raises(CapacityError):
+            vertex_connectivity(complete_graph(17))
 
 
 def _no_task(task, cfg):
@@ -120,6 +123,36 @@ class TestRunSweep:
         assert results[0] == results[1]
 
 
+class TestHamiltonianConnectedField:
+    """A record's hamiltonian_connected comes from the validated all-pairs
+    extraction, never from Hamilton backtracking."""
+
+    def test_read_off_the_accepted_paths(self, monkeypatch):
+        def no_backtracking(G):
+            raise AssertionError("the sweep ran Hamilton backtracking")
+
+        monkeypatch.setattr(sweep, "is_hamiltonian_connected", no_backtracking)
+        K5 = complete_graph(5)
+        lines: list[str] = []
+        cfg = SweepConfig(families=(), ks=(1,), input_graphs=((K5.n, K5.adj),))
+        summary = run_sweep(cfg, sink=lines.append)
+        assert summary.clean
+        (record,) = [json.loads(line) for line in lines]
+        assert record["all_hypotheses"] is True
+        assert record["hamiltonian_connected"] is True
+        assert record["pairs"] == {"hamilton_path": 10}
+
+    def test_null_off_hypothesis(self):
+        lines: list[str] = []
+        families = (FamilySpec(kind="exhaustive", n=2), FamilySpec(kind="exhaustive", n=4))
+        run_sweep(SweepConfig(families=families, ks=(1, 2)), sink=lines.append)
+        records = [json.loads(line) for line in lines]
+        assert len(records) == 2 * (2 + 64)
+        assert sum(rec["all_hypotheses"] for rec in records) == 1  # K4 with k = 1
+        for rec in records:
+            assert rec["hamiltonian_connected"] is (True if rec["all_hypotheses"] else None)
+
+
 def _broken_on_k4(real_extract):
     def extract(G, k, u, v):
         if G.is_complete() and (u, v) == (1, 2):
@@ -137,11 +170,15 @@ class TestEngineErrors:
         cfg = SweepConfig(
             families=(FamilySpec(kind="exhaustive", n=4),), ks=(1,), pair_policy=("all", 0)
         )
-        summary = run_sweep(cfg)
+        lines: list[str] = []
+        summary = run_sweep(cfg, sink=lines.append)
         assert summary.graphs == 64
         word = write_graph6(complete_graph(4))
         assert summary.violations == [f"engine error on {word} k=1 pair=(1,2): injected fault"]
         assert not summary.clean
+        records = {rec["graph6"]: rec for rec in map(json.loads, lines)}
+        assert records[word]["all_hypotheses"] is True
+        assert records[word]["hamiltonian_connected"] is False
 
     def test_cli_sweep_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(sweep, "extract", _broken_on_k4(sweep.extract))
