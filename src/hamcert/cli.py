@@ -8,7 +8,6 @@ or capacity limit.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 from fractions import Fraction
@@ -16,7 +15,7 @@ from fractions import Fraction
 from .certify import validate_outcome
 from .engine import extract
 from .errors import CapacityError, GraphInputError
-from .graph import Graph, complete_bipartite, generate, parse_family
+from .graph import Graph, complete_bipartite, generate, gnp_graph, parse_family
 from .graph6 import parse_graph6, read_graph6_lines, write_graph6
 from .invariants import (
     cut_scan,
@@ -50,7 +49,7 @@ def _load_graph(args) -> Graph:
         if spec.kind == "gnp":
             if args.seed is None:
                 raise GraphInputError("random families need --seed")
-            spec = dataclasses.replace(spec, seed=args.seed)
+            return gnp_graph(spec.n, spec.p, args.seed)
         return next(generate(spec))
     with open(args.input) as fh:
         graphs = read_graph6_lines(fh)
@@ -114,10 +113,6 @@ def cmd_sweep(args) -> int:
     if any(f.kind == "gnp" for f in families) and args.seed is None:
         raise GraphInputError("random families need --seed")
     seed = args.seed if args.seed is not None else 0
-    if any(f.kind == "gnp" for f in families):
-        families = tuple(
-            dataclasses.replace(f, seed=seed) if f.kind == "gnp" else f for f in families
-        )
     cfg = SweepConfig(
         families=families,
         ks=ks,

@@ -9,8 +9,9 @@ pattern, toughness > 1) fails. When rule 7, 8 or 9 can do neither, the
 step is reported as ``Stalled`` under that rule's name, never rescued;
 on a graph meeting all three hypotheses that is a bug.
 
-Every rotation template rebuilds the path from segments of itself, some
-reversed, plus off-path vertices, and is checked before it is returned;
+Every rotation is a splice that rebuilds the path from segments of
+itself, some reversed, plus off-path vertices, and passes one check
+before it is returned;
 every certificate is assembled from the concrete adjacency facts the
 scans established.
 """
@@ -102,120 +103,111 @@ def initial_path(G: Graph, u: int, v: int) -> OrientedPath:
     return OrientedPath(tuple(reversed(seq)))
 
 
-# --- rotation plans ---------------------------------------------------------
+# --- rotations --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InsertAtConsecutive:
+def _checked(G: Graph, P: OrientedPath, new: list[int], splice: str) -> OrientedPath:
+    """The spliced path, validated in G, with P's endpoints, strictly
+    longer and keeping every vertex of P; any failure names the splice."""
+    try:
+        result = OrientedPath(tuple(new))
+        result.validate(G)
+    except EngineError as exc:
+        raise EngineError(f"{splice}: {exc}") from None
+    if result.first != P.first or result.last != P.last:
+        problem = "moved the endpoints"
+    elif len(result) <= len(P):
+        problem = "did not lengthen the path"
+    elif P.vertex_mask() & ~result.vertex_mask():
+        problem = "dropped a path vertex"
+    else:
+        return result
+    raise EngineError(f"{splice} {problem}: {P.seq} -> {result.seq}")
+
+
+def insert_at_consecutive(
+    G: Graph, P: OrientedPath, after: int, interior: tuple[int, ...]
+) -> OrientedPath:
     """Splice a path through the off-path component between two
     consecutive path vertices that both see the component."""
+    seq = list(P.seq)
+    i = P.position(after)
+    new = seq[: i + 1] + list(interior) + seq[i + 1 :]
+    return _checked(G, P, new, "insertion")
 
-    after: int
-    interior: tuple[int, ...]
 
-
-@dataclass(frozen=True)
-class ViaComponentPath:
+def via_component_path(
+    G: Graph, P: OrientedPath, xi: int, xj: int, interior: tuple[int, ...]
+) -> OrientedPath:
     """Detour through the component between neighbors xi < xj whose
     successors are adjacent; the tail is partly reversed."""
-
-    xi: int
-    xj: int
-    interior: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ThreeCase:
-    """Common-neighbor rotation at a consecutive pair (a, a+), split by
-    the positions of the two neighbor bases xp < xq relative to the
-    segment's anchor neighbor."""
-
-    case: str  # "A" | "B" | "C"
-    a: int
-    xp: int
-    xq: int
-    x: int
-
-
-@dataclass(frozen=True)
-class OutsideTwoNeighbors:
-    """Absorb both the isolated vertex x and an outside vertex y that
-    sees two successor vertices."""
-
-    y: int
-    xp: int
-    xq: int
-    x: int
-
-
-RotationPlan = InsertAtConsecutive | ViaComponentPath | ThreeCase | OutsideTwoNeighbors
-
-
-def apply_rotation(G: Graph, P: OrientedPath, plan: RotationPlan) -> OrientedPath:
-    """Instantiate a plan; the result is validated and strictly longer."""
     seq = list(P.seq)
-    if isinstance(plan, InsertAtConsecutive):
-        i = P.position(plan.after)
-        new = seq[: i + 1] + list(plan.interior) + seq[i + 1 :]
-    elif isinstance(plan, ViaComponentPath):
-        pi, pj = P.position(plan.xi), P.position(plan.xj)
+    pi, pj = P.position(xi), P.position(xj)
+    new = (
+        seq[: pi + 1]
+        + list(interior)
+        + [xj]
+        + list(reversed(seq[pi + 1 : pj]))
+        + seq[pj + 1 :]
+    )
+    return _checked(G, P, new, "detour")
+
+
+def three_case(
+    G: Graph, P: OrientedPath, anchor: int, a: int, common: int, x: int
+) -> OrientedPath:
+    """Common-neighbor rotation at a consecutive pair (a, a+): the first
+    two common neighbors give bases xp < xq, and their positions relative
+    to the segment's anchor neighbor pick branch A, B or C."""
+    picks = sorted(bits(common), key=P.position)[:2]
+    xp, xq = (P.pred(w) for w in picks)
+    seq = list(P.seq)
+    pa = P.position(a)
+    pb = pa + 1
+    pp, pq = P.position(xp), P.position(xq)
+    anchor_pos = P.position(anchor)
+    if pp > anchor_pos:
         new = (
-            seq[: pi + 1]
-            + list(plan.interior)
-            + [plan.xj]
-            + list(reversed(seq[pi + 1 : pj]))
-            + seq[pj + 1 :]
-        )
-    elif isinstance(plan, ThreeCase):
-        pa = P.position(plan.a)
-        pb = pa + 1
-        pp, pq = P.position(plan.xp), P.position(plan.xq)
-        if plan.case == "A":
-            new = (
-                seq[: pa + 1]
-                + seq[pp + 1 : pq + 1]
-                + [plan.x]
-                + list(reversed(seq[pb : pp + 1]))
-                + seq[pq + 1 :]
-            )
-        elif plan.case == "B":
-            new = (
-                seq[: pp + 1]
-                + [plan.x]
-                + list(reversed(seq[pp + 1 : pq + 1]))
-                + list(reversed(seq[pq + 1 : pa + 1]))
-                + seq[pb:]
-            )
-        elif plan.case == "C":
-            new = (
-                seq[: pp + 1]
-                + [plan.x]
-                + list(reversed(seq[pb : pq + 1]))
-                + seq[pp + 1 : pa + 1]
-                + seq[pq + 1 :]
-            )
-        else:
-            raise EngineError(f"unknown rotation case {plan.case!r}")
-    elif isinstance(plan, OutsideTwoNeighbors):
-        pp, pq = P.position(plan.xp), P.position(plan.xq)
-        new = (
-            seq[: pp + 1]
-            + [plan.x]
-            + list(reversed(seq[pp + 1 : pq + 1]))
-            + [plan.y]
+            seq[: pa + 1]
+            + seq[pp + 1 : pq + 1]
+            + [x]
+            + list(reversed(seq[pb : pp + 1]))
             + seq[pq + 1 :]
         )
+    elif pq <= anchor_pos:
+        new = (
+            seq[: pp + 1]
+            + [x]
+            + list(reversed(seq[pp + 1 : pq + 1]))
+            + list(reversed(seq[pq + 1 : pa + 1]))
+            + seq[pb:]
+        )
     else:
-        raise EngineError(f"unknown plan {plan!r}")
-    result = OrientedPath(tuple(new))
-    result.validate(G)
-    if result.first != P.first or result.last != P.last:
-        raise EngineError(f"rotation moved the endpoints: {plan!r}")
-    if len(result) <= len(P):
-        raise EngineError(f"rotation did not lengthen the path: {plan!r}")
-    if P.vertex_mask() & ~result.vertex_mask():
-        raise EngineError(f"rotation dropped a path vertex: {plan!r}")
-    return result
+        new = (
+            seq[: pp + 1]
+            + [x]
+            + list(reversed(seq[pb : pq + 1]))
+            + seq[pp + 1 : pa + 1]
+            + seq[pq + 1 :]
+        )
+    return _checked(G, P, new, "three-case rotation")
+
+
+def outside_two_neighbors(
+    G: Graph, P: OrientedPath, y: int, xp: int, xq: int, x: int
+) -> OrientedPath:
+    """Absorb both the isolated vertex x and an outside vertex y that
+    sees two successor vertices."""
+    seq = list(P.seq)
+    pp, pq = P.position(xp), P.position(xq)
+    new = (
+        seq[: pp + 1]
+        + [x]
+        + list(reversed(seq[pp + 1 : pq + 1]))
+        + [y]
+        + seq[pq + 1 :]
+    )
+    return _checked(G, P, new, "two-neighbour absorption")
 
 
 # --- path structure ---------------------------------------------------------
@@ -373,10 +365,10 @@ def _make_frame(G: Graph, P: OrientedPath, x: int, rev: bool) -> _Frame:
 
 def _scan_segment(
     G: Graph, k: int, fr: _Frame, i: int, seg: tuple[int, ...]
-) -> ThreeCase | ForbiddenInduced | None:
+) -> OrientedPath | ForbiddenInduced | None:
     """Parity scan of one segment (claims 3/4 machinery).
 
-    Returns None when clean, else the rotation plan or the forbidden
+    Returns None when clean, else the rotated path or the forbidden
     witness the scan found. Odd positions must avoid the successor set
     (just the anchor successor when 2k-1 == 1); even positions must see
     at least k+1 members of the reference set.
@@ -416,23 +408,8 @@ def _scan_segment(
             common = G.adj[a] & G.adj[w] & x_mask
             if common.bit_count() < 2:
                 raise EngineError("common-neighbor count dropped below two")
-            return _three_case_plan(P, fr.nbrs, i, a, common, x)
+            return three_case(G, P, fr.nbrs[i - 1], a, common, x)
     return None
-
-
-def _three_case_plan(
-    P: OrientedPath, nbrs: tuple[int, ...], i: int, a: int, common: int, x: int
-) -> ThreeCase:
-    picks = sorted(bits(common), key=P.position)[:2]
-    xp, xq = (P.pred(w) for w in picks)
-    anchor_pos = P.position(nbrs[i - 1])
-    if P.position(xp) > anchor_pos:
-        case = "A"
-    elif P.position(xq) <= anchor_pos:
-        case = "B"
-    else:
-        case = "C"
-    return ThreeCase(case=case, a=a, xp=xp, xq=xq, x=x)
 
 
 # One step of the cascade: the rule that fired, and either the lengthened
@@ -454,21 +431,19 @@ def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int) -> Step:
             continue
         hit = _scan_segment(G, k, fwd, i, seg)
         if hit is not None:
-            return "rule5", _scan_result(G, P, hit, rev=False)
+            return "rule5", hit
     if segs[0]:
         rev = _make_frame(G, P, x, rev=True)
         # the reversed successor set was never covered by rule 2
         bad = _independent_violation(G, rev.plus)
         if bad is not None:
             wi, wj = sorted(bad, key=rev.path.position)
-            plan = ViaComponentPath(
-                xi=rev.path.pred(wi), xj=rev.path.pred(wj), interior=(x,)
-            )
-            return "rule5", apply_rotation(G, rev.path, plan).reversed()
+            xi, xj = rev.path.pred(wi), rev.path.pred(wj)
+            return "rule5", via_component_path(G, rev.path, xi, xj, (x,)).reversed()
         tail = tuple(reversed(segs[0]))
         hit = _scan_segment(G, k, rev, t, tail)
         if hit is not None:
-            return "rule5", _scan_result(G, rev.path, hit, rev=True)
+            return "rule5", hit.reversed() if isinstance(hit, OrientedPath) else hit
 
     # rule 6: every interior segment must have odd length
     for i in range(1, t):
@@ -487,8 +462,7 @@ def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int) -> Step:
         common = G.adj[a] & G.adj[nxt] & x_mask
         if common.bit_count() < 2:
             raise EngineError("even-segment rotation lacks common neighbors")
-        plan = _three_case_plan(P, fwd.nbrs, i, a, common, x)
-        return "rule6", apply_rotation(G, P, plan)
+        return "rule6", three_case(G, P, fwd.nbrs[i - 1], a, common, x)
 
     s_prime = _odd_sets(segs)
     minus = tuple(P.pred(w) for w in fwd.nbrs if w != P.first)
@@ -513,8 +487,7 @@ def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int) -> Step:
         plus_hits = sorted(bits(G.adj[y] & fwd.plus_mask), key=P.position)
         if len(plus_hits) >= 2:
             xp, xq = (P.pred(w) for w in plus_hits[:2])
-            plan = OutsideTwoNeighbors(y=y, xp=xp, xq=xq, x=x)
-            return "rule8", apply_rotation(G, P, plan)
+            return "rule8", outside_two_neighbors(G, P, y, xp, xq, x)
         if len(plus_hits) == 1:
             return "rule8", _forbidden_or_bug(G, k, (y, plus_hits[0]), [x] + list(fwd.plus))
         s_hits = sorted(bits(G.adj[y] & mask_of(s_prime)))
@@ -541,15 +514,6 @@ def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int) -> Step:
     return "rule9", ToughnessWitness(cut=s_star, independent=witness_set)
 
 
-def _scan_result(
-    G: Graph, path: OrientedPath, hit: ThreeCase | ForbiddenInduced, rev: bool
-) -> OrientedPath | ForbiddenInduced:
-    if isinstance(hit, ForbiddenInduced):
-        return hit
-    new = apply_rotation(G, path, hit)
-    return new.reversed() if rev else new
-
-
 def _independent_violation(G: Graph, vertices) -> tuple[int, int] | None:
     vs = sorted(vertices)
     m = mask_of(vs)
@@ -573,8 +537,7 @@ def extend_or_certify(G: Graph, k: int, P: OrientedPath) -> Step:
         for a, b in zip(nbrs, nbrs[1:]):
             if P.position(b) == P.position(a) + 1:
                 interior = _path_through_component(G, comp, a, b)
-                plan = InsertAtConsecutive(after=a, interior=interior)
-                return "rule1", apply_rotation(G, P, plan)
+                return "rule1", insert_at_consecutive(G, P, a, interior)
 
     # rule 2: adjacent successors admit a detour through the component
     for comp in comps:
@@ -584,8 +547,7 @@ def extend_or_certify(G: Graph, k: int, P: OrientedPath) -> Step:
             wi, wj = sorted(bad, key=P.position)
             xi, xj = P.pred(wi), P.pred(wj)
             interior = _path_through_component(G, comp, xi, xj)
-            plan = ViaComponentPath(xi=xi, xj=xj, interior=interior)
-            return "rule2", apply_rotation(G, P, plan)
+            return "rule2", via_component_path(G, P, xi, xj, interior)
 
     # rule 3: a component with few path neighbors is a small cut
     for comp in comps:

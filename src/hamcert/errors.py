@@ -6,11 +6,15 @@ class GraphInputError(ValueError):
 
 
 class Graph6ParseError(GraphInputError):
-    """Invalid graph6 text; ``offset`` is the byte position of the problem."""
+    """Invalid graph6 text; ``offset`` is the byte position of the problem
+    and ``line``, when the text came from a file, its 1-based line."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
+    def __init__(self, message: str, offset: int, line: int | None = None):
+        where = f"byte offset {offset}" if line is None else f"line {line}, byte offset {offset}"
+        super().__init__(f"{message} ({where})")
+        self.message = message
         self.offset = offset
+        self.line = line
 
 
 class CapacityError(RuntimeError):

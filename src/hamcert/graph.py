@@ -147,7 +147,6 @@ class FamilySpec:
     s: int = 0
     t: int = 0
     p: Fraction = Fraction(0)
-    seed: int = 0
 
 
 def complete_graph(n: int) -> Graph:
@@ -216,8 +215,8 @@ def exhaustive_graphs(n: int) -> Iterator[Graph]:
 
 
 def generate(spec: FamilySpec) -> Iterator[Graph]:
-    """Stream the graphs of a family; deterministic given the spec. A gnp
-    spec gives its first sample; sweeps draw further samples by index."""
+    """Stream the graphs of a deterministic family. A gnp spec has no
+    seed of its own: draw its samples with ``gnp_graph``."""
     if spec.kind == "complete":
         yield complete_graph(spec.n)
     elif spec.kind == "bipartite":
@@ -227,7 +226,7 @@ def generate(spec: FamilySpec) -> Iterator[Graph]:
     elif spec.kind == "path":
         yield path_graph(spec.n)
     elif spec.kind == "gnp":
-        yield gnp_graph(spec.n, spec.p, spec.seed)
+        raise GraphInputError("gnp families are sampled with gnp_graph and a seed")
     elif spec.kind == "exhaustive":
         yield from exhaustive_graphs(spec.n)
     else:
@@ -242,6 +241,8 @@ def parse_family(text: str) -> FamilySpec:
             return FamilySpec(kind=kind, n=int(rest))
         if kind == "bipartite":
             s, t = (int(x) for x in rest.split(","))
+            if min(s, t) < 0:
+                raise GraphInputError("part sizes must be non-negative")
             return FamilySpec(kind=kind, n=s + t, s=s, t=t)
         if kind == "gnp":
             n_text, p_text = rest.split(",")

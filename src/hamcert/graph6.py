@@ -76,10 +76,14 @@ def parse_graph6(text: str) -> Graph:
 
 
 def read_graph6_lines(lines) -> list[Graph]:
-    """Parse newline-separated graph6 words, skipping blank lines."""
+    """Parse newline-separated graph6 words, skipping blank lines; an
+    error names its 1-based line."""
     out = []
-    for line in lines:
+    for number, line in enumerate(lines, 1):
         line = line.strip()
         if line:
-            out.append(parse_graph6(line))
+            try:
+                out.append(parse_graph6(line))
+            except Graph6ParseError as exc:
+                raise Graph6ParseError(exc.message, exc.offset, number) from None
     return out

@@ -176,8 +176,13 @@ def find_forbidden_naive(G: Graph, k: int) -> bool:
 
 def hamilton_path_between(G: Graph, u: int, v: int) -> list[int] | None:
     """Hamilton (u,v)-path by backtracking with connectivity and degree
-    pruning; lowest-index-first, deterministic.
+    pruning; lowest-index-first, deterministic. Capped at
+    ``TOUGHNESS_CEILING`` vertices before any search.
     """
+    if G.n > TOUGHNESS_CEILING:
+        raise CapacityError(
+            f"Hamilton backtracking is capped at n={TOUGHNESS_CEILING}, got n={G.n}"
+        )
     if u == v:
         raise GraphInputError("endpoints must be distinct")
     if not (0 <= u < G.n and 0 <= v < G.n):

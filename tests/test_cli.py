@@ -48,6 +48,22 @@ class TestInvariantsCommand:
         code, _, err = run_cli(capsys, "invariants", "--family", "gnp:8,1/2", "--k", "1")
         assert code == 2 and "seed" in err
 
+    def test_seed_picks_the_gnp_sample(self, capsys):
+        words = set()
+        for seed in ("0", "5"):
+            code, out, _ = run_cli(
+                capsys, "invariants", "--family", "gnp:12,1/2", "--seed", seed, "--k", "1"
+            )
+            assert code == 0
+            words.add(out.split("graph6=")[1].split()[0])
+        assert len(words) == 2
+
+    @pytest.mark.parametrize("command", ["invariants", "sweep"])
+    def test_negative_part_size_exits_2(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--family", "bipartite:-1,3", "--k", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_input_file(self, capsys, tmp_path):
         f = tmp_path / "g.g6"
         f.write_text(K44 + "\n")

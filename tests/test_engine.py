@@ -21,15 +21,20 @@ from hamcert import (
 from hamcert import engine
 from hamcert.engine import (
     EngineError,
-    InsertAtConsecutive,
     OrientedPath,
-    OutsideTwoNeighbors,
-    ThreeCase,
-    ViaComponentPath,
-    apply_rotation,
     extend_or_certify,
     initial_path,
+    insert_at_consecutive,
+    outside_two_neighbors,
+    three_case,
+    via_component_path,
 )
+from hamcert.graph import mask_of
+
+
+def _union_graph(n: int, *seqs: tuple[int, ...]):
+    """The graph whose edges are the consecutive pairs of every sequence."""
+    return build_graph(n, sorted({tuple(sorted(e)) for s in seqs for e in zip(s, s[1:])}))
 
 
 class TestOrientedPath:
@@ -63,14 +68,14 @@ class TestRotations:
     def test_insert_at_consecutive(self):
         G = build_graph(4, [(0, 1), (1, 2), (0, 3), (3, 1)])
         P = OrientedPath((0, 1, 2))
-        out = apply_rotation(G, P, InsertAtConsecutive(after=0, interior=(3,)))
+        out = insert_at_consecutive(G, P, 0, (3,))
         assert out.seq == (0, 3, 1, 2)
 
     def test_via_component_path(self):
         # path (1,2,3,4) with 5 adjacent to 1 and 3, and edge 2-4 present
         G = build_graph(6, [(1, 2), (2, 3), (3, 4), (1, 5), (3, 5), (2, 4)])
         P = OrientedPath((1, 2, 3, 4))
-        out = apply_rotation(G, P, ViaComponentPath(xi=1, xj=3, interior=(5,)))
+        out = via_component_path(G, P, 1, 3, (5,))
         assert out.seq == (1, 5, 3, 2, 4)
 
     def test_three_case_template_a(self):
@@ -78,10 +83,29 @@ class TestRotations:
                             (0, 3), (2, 5), (1, 4), (0, 2), (3, 6), (1, 5),
                             (2, 4), (0, 4), (1, 6)])
         P = OrientedPath((0, 1, 2, 3, 4, 5))
-        # case A shape: a=0, xp=1, xq=3 (both after a)
-        out = apply_rotation(G, P, ThreeCase(case="A", a=0, xp=1, xq=3, x=6))
+        # branch A: the bases xp=1, xq=3 (successors 2, 4) both follow
+        # the anchor 0; a=0
+        out = three_case(G, P, 0, 0, mask_of((2, 4)), 6)
         assert out.seq == (0, 2, 3, 6, 1, 4, 5)
         assert out.first == 0 and out.last == 5
+
+    def test_three_case_template_b(self):
+        # branch B: xp=1 and xq=3 (successors 2, 4) lie at or before the
+        # anchor 4; a=5, a+=6, and x=8 joins xp to xq
+        P = OrientedPath((0, 1, 2, 3, 4, 5, 6, 7))
+        expected = (0, 1, 8, 3, 2, 5, 4, 6, 7)
+        G = _union_graph(9, P.seq, expected)
+        out = three_case(G, P, 4, 5, mask_of((2, 4)), 8)
+        assert out.seq == expected
+
+    def test_three_case_template_c(self):
+        # branch C: xp=1 lies at the anchor 1, xq=5 after a=3; successors
+        # 2 and 6, and x=8 joins xp to xq
+        P = OrientedPath((0, 1, 2, 3, 4, 5, 6, 7))
+        expected = (0, 1, 8, 5, 4, 2, 3, 6, 7)
+        G = _union_graph(9, P.seq, expected)
+        out = three_case(G, P, 1, 3, mask_of((2, 6)), 8)
+        assert out.seq == expected
 
     def test_outside_two_neighbors(self):
         # x=6 sits between xp=1 and the reversed middle; y=7 sees the
@@ -89,14 +113,28 @@ class TestRotations:
         G = build_graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5),
                             (1, 6), (3, 6), (2, 7), (4, 7)])
         P = OrientedPath((0, 1, 2, 3, 4, 5))
-        out = apply_rotation(G, P, OutsideTwoNeighbors(y=7, xp=1, xq=3, x=6))
+        out = outside_two_neighbors(G, P, 7, 1, 3, 6)
         assert out.seq == (0, 1, 6, 3, 2, 7, 4, 5)
 
     def test_rotation_rejects_invalid(self):
         G = build_graph(4, [(0, 1), (1, 2)])
         P = OrientedPath((0, 1, 2))
-        with pytest.raises(EngineError):
-            apply_rotation(G, P, InsertAtConsecutive(after=0, interior=(3,)))
+        with pytest.raises(EngineError, match="insertion"):
+            insert_at_consecutive(G, P, 0, (3,))
+
+    @pytest.mark.parametrize(
+        "after, interior, problem",
+        [
+            (2, (3,), "insertion moved the endpoints"),
+            (0, (), "insertion did not lengthen the path"),
+            (0, (1,), "insertion: repeated vertex"),
+        ],
+        ids=["endpoints", "length", "repeat"],
+    )
+    def test_rotation_checks_name_the_splice(self, after, interior, problem):
+        G = complete_graph(4)
+        with pytest.raises(EngineError, match=problem):
+            insert_at_consecutive(G, OrientedPath((0, 1, 2)), after, interior)
 
 
 class TestExtract:

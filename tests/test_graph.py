@@ -23,6 +23,7 @@ from hamcert import (
     parse_family,
     parse_graph6,
     path_graph,
+    read_graph6_lines,
     write_graph6,
 )
 from hamcert.graph import components_masks
@@ -169,10 +170,14 @@ class TestFamilies:
             parse_family("weird:3")
         with pytest.raises(GraphInputError):
             parse_family("gnp:10")
+        with pytest.raises(GraphInputError):
+            parse_family("bipartite:-1,3")
 
     def test_generate_matches_constructors(self):
         assert next(generate(parse_family("cycle:6"))).adj == cycle_graph(6).adj
         assert next(generate(parse_family("path:4"))).adj == path_graph(4).adj
+        with pytest.raises(GraphInputError):
+            next(generate(parse_family("gnp:6,1/2")))  # samples need a seed
 
 
 class TestGraph6:
@@ -205,6 +210,12 @@ class TestGraph6:
         with pytest.raises(Graph6ParseError) as exc:
             parse_graph6("A_trailing")
         assert exc.value.offset == 2
+
+    def test_file_error_names_its_line(self):
+        with pytest.raises(Graph6ParseError) as exc:
+            read_graph6_lines(["A_\n", "\n", "A_?\n", "A_\n"])
+        assert exc.value.line == 3 and exc.value.offset == 2
+        assert str(exc.value) == "trailing bytes after graph6 word (line 3, byte offset 2)"
 
     @settings(max_examples=200, deadline=None)
     @given(random_graph_strategy())

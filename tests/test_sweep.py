@@ -16,6 +16,7 @@ from hamcert import (
     exhaustive_graphs,
     find_induced_p2_plus_kp1,
     graph_from_code,
+    hamilton_path_between,
     run_sweep,
     vertex_connectivity,
 )
@@ -61,6 +62,8 @@ class TestQuickHypotheses:
             quick_hypotheses(complete_graph(17), (1,))
         with pytest.raises(CapacityError):
             vertex_connectivity(complete_graph(17))
+        with pytest.raises(CapacityError):
+            hamilton_path_between(complete_graph(17), 0, 1)
 
 
 def _no_task(task, cfg):
@@ -101,7 +104,7 @@ class TestRunSweep:
         extra = complete_bipartite(3, 4)
         cfg = SweepConfig(
             families=(
-                FamilySpec(kind="gnp", n=8, p=Fraction(2, 3), seed=5),
+                FamilySpec(kind="gnp", n=8, p=Fraction(2, 3)),
                 FamilySpec(kind="exhaustive", n=4),
             ),
             ks=(1, 2),
