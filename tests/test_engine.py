@@ -1,6 +1,7 @@
 import pytest
 
 from hamcert import (
+    ForbiddenInduced,
     GraphInputError,
     HamiltonPath,
     SmallCut,
@@ -260,3 +261,59 @@ class TestExtract:
         assert isinstance(res.outcome, Stalled)
         assert res.trace == ("rule1", "rule7")
         assert not validate_outcome(G, 1, 2, 3, res.outcome).accepted
+
+
+class TestDeepRules:
+    """The rules that only fire deep in the cascade, pinned through
+    extract: each expected trace and outcome is the engine's own output,
+    and each outcome must pass the independent validator."""
+
+    @pytest.mark.parametrize(
+        "word, k, u, v, trace, outcome",
+        [
+            (
+                r"I~n\z~BUO", 2, 1, 4,
+                ("rule1",) * 6 + ("rule6", "done"),
+                HamiltonPath((1, 9, 7, 8, 6, 5, 3, 2, 0, 4)),
+            ),
+            (
+                "IsaB@Y{^?", 2, 6, 7,
+                ("rule1",) * 3 + ("rule5",),
+                ForbiddenInduced(edge=(1, 6), independent=frozenset({3, 5})),
+            ),
+            (
+                "Il[VdYcj?", 1, 6, 1,
+                ("rule1",) * 6 + ("rule5", "done"),
+                HamiltonPath((6, 3, 4, 7, 5, 8, 2, 9, 0, 1)),
+            ),
+            (
+                "EsZo", 1, 0, 2,
+                ("rule1", "rule1", "rule8", "done"),
+                HamiltonPath((0, 3, 5, 1, 4, 2)),
+            ),
+            (
+                "GFl_{G", 1, 5, 2,
+                ("rule1",) * 3 + ("rule8",),
+                ForbiddenInduced(edge=(7, 0), independent=frozenset({6})),
+            ),
+            (
+                "GBF}Wk", 1, 4, 1,
+                ("rule1",) * 4 + ("rule9",),
+                ToughnessWitness(cut=frozenset({3, 5, 6}), independent=frozenset({0, 1, 2, 4, 7})),
+            ),
+        ],
+        ids=[
+            "rule6-on-hypothesis",
+            "rule5-reversed-head-witness",
+            "rule5-reversed-head-path",
+            "rule8-two-neighbour-absorption",
+            "rule8-witness",
+            "rule9",
+        ],
+    )
+    def test_trace_and_outcome(self, word, k, u, v, trace, outcome):
+        G = parse_graph6(word)
+        res = extract(G, k, u, v)
+        assert res.trace == trace
+        assert res.outcome == outcome
+        assert validate_outcome(G, k, u, v, res.outcome).accepted
