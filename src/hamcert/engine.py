@@ -160,6 +160,8 @@ def three_case(
     two common neighbors give bases xp < xq, and their positions relative
     to the segment's anchor neighbor pick branch A, B or C."""
     picks = sorted(bits(common), key=P.position)[:2]
+    if len(picks) < 2:
+        raise EngineError(f"three-case rotation needs two common neighbors, got {len(picks)}")
     xp, xq = (P.pred(w) for w in picks)
     seq = list(P.seq)
     pa = P.position(a)
@@ -213,31 +215,27 @@ def outside_two_neighbors(
 # --- path structure ---------------------------------------------------------
 
 
-def _component_neighbors(G: Graph, P: OrientedPath, comp_mask: int):
-    nbrs = tuple(w for w in P.seq if G.adj[w] & comp_mask)
-    plus = tuple(P.succ(w) for w in nbrs if w != P.last)
-    return nbrs, plus
+def _neighbors(G: Graph, P: OrientedPath, comp_mask: int) -> tuple[int, ...]:
+    """The path vertices x_1..x_t that see the component, in path order."""
+    return tuple(w for w in P.seq if G.adj[w] & comp_mask)
+
+
+def _successors(P: OrientedPath, nbrs: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(P.succ(w) for w in nbrs if w != P.last)
 
 
 def _segments(P: OrientedPath, nbrs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    cuts = [P.position(w) for w in nbrs]
-    segs = [tuple(P.seq[: cuts[0]])]
-    for a, b in zip(cuts, cuts[1:]):
-        segs.append(tuple(P.seq[a + 1 : b]))
-    segs.append(tuple(P.seq[cuts[-1] + 1 :]))
-    return tuple(segs)
+    cuts = [-1] + [P.position(w) for w in nbrs] + [len(P)]
+    return tuple(P.seq[a + 1 : b] for a, b in zip(cuts, cuts[1:]))
 
 
 def _odd_sets(segs: tuple[tuple[int, ...], ...]) -> frozenset[int]:
     """Union of the odd-position vertices of every segment: counted
     forward from each neighbor for segments 1..t, backward from the
     first neighbor for segment 0."""
-    out: set[int] = set()
-    for i, seg in enumerate(segs):
-        if i == 0:
-            out.update(seg[len(seg) - 1 :: -2])
-        else:
-            out.update(seg[0::2])
+    out = set(segs[0][::-2])
+    for seg in segs[1:]:
+        out.update(seg[::2])
     return frozenset(out)
 
 
@@ -338,78 +336,49 @@ def _choose_x_set(
     return out
 
 
-@dataclass
-class _Frame:
-    """One orientation of the working path with its singleton-component
-    context; the tail segment of the reversed frame is segment 0."""
-
-    path: OrientedPath
-    x: int
-    nbrs: tuple[int, ...]
-    plus: tuple[int, ...]
-    plus_mask: int
-
-
-def _make_frame(G: Graph, P: OrientedPath, x: int, rev: bool) -> _Frame:
-    path = P.reversed() if rev else P
-    comp_mask = 1 << x
-    nbrs, plus = _component_neighbors(G, path, comp_mask)
-    return _Frame(
-        path=path,
-        x=x,
-        nbrs=nbrs,
-        plus=plus,
-        plus_mask=mask_of(plus),
-    )
-
-
 def _scan_segment(
-    G: Graph, k: int, fr: _Frame, i: int, seg: tuple[int, ...]
+    G: Graph,
+    k: int,
+    P: OrientedPath,
+    x: int,
+    anchor: int,
+    plus: tuple[int, ...],
+    seg: tuple[int, ...],
 ) -> OrientedPath | ForbiddenInduced | None:
-    """Parity scan of one segment (claims 3/4 machinery).
+    """Parity scan of the segment after ``anchor`` (claims 3/4 machinery).
 
     Returns None when clean, else the rotated path or the forbidden
     witness the scan found. Odd positions must avoid the successor set
     (just the anchor successor when 2k-1 == 1); even positions must see
     at least k+1 members of the reference set.
     """
-    P, x = fr.path, fr.x
     anchor_succ = seg[0]
-    union_mask = fr.plus_mask if 2 * k - 1 >= 2 else 1 << anchor_succ
+    union_mask = mask_of(plus) if 2 * k - 1 >= 2 else 1 << anchor_succ
+    if G.adj[anchor_succ] & union_mask:
+        raise EngineError("successor set not independent at scan time")
     jstar = None
     xr = None
-    for j in range(1, len(seg) + 1, 2):
-        w = seg[j - 1]
-        hits = G.adj[w] & union_mask & ~(1 << w)
-        if j == 1:
-            if hits:
-                raise EngineError("successor set not independent at scan time")
-            continue
+    for j in range(3, len(seg) + 1, 2):
+        hits = G.adj[seg[j - 1]] & union_mask
         if hits:
             jstar = j
             xr = min(bits(hits), key=P.position)
             break
     forced = [anchor_succ] if jstar is None else [anchor_succ, xr]
-    X = _choose_x_set(P, fr.plus, k, forced)
+    X = _choose_x_set(P, plus, k, forced)
     x_mask = mask_of(X)
     limit = jstar if jstar is not None else len(seg)
-    for j in range(2, limit + 1):
-        if j % 2 == 1 and j != jstar:
-            continue
+    for j in range(2, limit + 1, 2):
         w = seg[j - 1]
-        cnt = (G.adj[w] & x_mask).bit_count()
-        if j % 2 == 0:
-            if cnt <= k:
-                return _forbidden_or_bug(G, k, (seg[j - 2], w), [x] + X)
-        else:
-            if cnt <= k:
-                return _forbidden_or_bug(G, k, (xr, w), [x] + X)
-            a = seg[j - 2]
-            common = G.adj[a] & G.adj[w] & x_mask
-            if common.bit_count() < 2:
-                raise EngineError("common-neighbor count dropped below two")
-            return three_case(G, P, fr.nbrs[i - 1], a, common, x)
-    return None
+        if (G.adj[w] & x_mask).bit_count() <= k:
+            return _forbidden_or_bug(G, k, (seg[j - 2], w), [x] + X)
+    if jstar is None:
+        return None
+    w = seg[jstar - 1]
+    if (G.adj[w] & x_mask).bit_count() <= k:
+        return _forbidden_or_bug(G, k, (xr, w), [x] + X)
+    a = seg[jstar - 2]
+    return three_case(G, P, anchor, a, G.adj[a] & G.adj[w] & x_mask, x)
 
 
 # One step of the cascade: the rule that fired, and either the lengthened
@@ -417,31 +386,32 @@ def _scan_segment(
 Step = tuple[str, OrientedPath | Outcome]
 
 
-def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int) -> Step:
-    """Rules 5-9: the parity scans, the even-segment rule, the
-    independence scans, and the toughness endgame, in fixed order."""
-    fwd = _make_frame(G, P, x, rev=False)
-    segs = _segments(P, fwd.nbrs)
-    t = len(fwd.nbrs)
+def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int, nbrs: tuple[int, ...]) -> Step:
+    """Rules 5-9 on the isolated vertex x with path neighbors ``nbrs``:
+    the parity scans, the even-segment rule, the independence scans,
+    and the toughness endgame, in fixed order."""
+    plus = _successors(P, nbrs)
+    minus = tuple(P.pred(w) for w in nbrs if w != P.first)
+    segs = _segments(P, nbrs)
+    t = len(nbrs)
 
     # rule 5: parity scans, forward segments then the reversed head
     for i in range(1, t + 1):
         seg = segs[i]
         if not seg:
             continue
-        hit = _scan_segment(G, k, fwd, i, seg)
+        hit = _scan_segment(G, k, P, x, nbrs[i - 1], plus, seg)
         if hit is not None:
             return "rule5", hit
     if segs[0]:
-        rev = _make_frame(G, P, x, rev=True)
-        # the reversed successor set was never covered by rule 2
-        bad = _independent_violation(G, rev.plus)
+        # the reversed path's successors are P's predecessors, unchecked by rule 2
+        R = P.reversed()
+        bad = _independent_violation(G, minus)
         if bad is not None:
-            wi, wj = sorted(bad, key=rev.path.position)
-            xi, xj = rev.path.pred(wi), rev.path.pred(wj)
-            return "rule5", via_component_path(G, rev.path, xi, xj, (x,)).reversed()
-        tail = tuple(reversed(segs[0]))
-        hit = _scan_segment(G, k, rev, t, tail)
+            wi, wj = sorted(bad, key=R.position)
+            xi, xj = R.pred(wi), R.pred(wj)
+            return "rule5", via_component_path(G, R, xi, xj, (x,)).reversed()
+        hit = _scan_segment(G, k, R, x, nbrs[0], minus[::-1], segs[0][::-1])
         if hit is not None:
             return "rule5", hit.reversed() if isinstance(hit, OrientedPath) else hit
 
@@ -450,47 +420,40 @@ def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int) -> Step:
         seg = segs[i]
         if len(seg) % 2 != 0:
             continue
-        X = _choose_x_set(P, fwd.plus, k, [seg[0]])
+        X = _choose_x_set(P, plus, k, [seg[0]])
         x_mask = mask_of(X)
-        nxt = fwd.nbrs[i]
-        cnt_next = (G.adj[nxt] & x_mask).bit_count()
-        if cnt_next <= k - 1:
+        nxt = nbrs[i]
+        if (G.adj[nxt] & x_mask).bit_count() <= k - 1:
             return "rule6", _forbidden_or_bug(G, k, (x, nxt), X)
         a = seg[-1]
         if (G.adj[a] & x_mask).bit_count() <= k:
             raise EngineError("even-segment endpoint lost its reference count")
-        common = G.adj[a] & G.adj[nxt] & x_mask
-        if common.bit_count() < 2:
-            raise EngineError("even-segment rotation lacks common neighbors")
-        return "rule6", three_case(G, P, fwd.nbrs[i - 1], a, common, x)
+        return "rule6", three_case(G, P, nbrs[i - 1], a, G.adj[a] & G.adj[nxt] & x_mask, x)
 
     s_prime = _odd_sets(segs)
-    minus = tuple(P.pred(w) for w in fwd.nbrs if w != P.first)
-    wide_candidates = [x] + sorted(set(fwd.plus) | set(minus))
+    wide_candidates = [x] + sorted(set(plus) | set(minus))
 
     # rule 7: the odd-position set must be independent
-    for z in sorted(s_prime):
-        for w in sorted(bits(G.adj[z] & mask_of(s_prime))):
-            if w <= z:
-                continue
-            witness = _forbidden(G, k, (z, w), wide_candidates)
-            if witness is not None:
-                return "rule7", witness
-            return "rule7", Stalled(
-                f"edge {z}-{w} inside the odd-position set, "
-                "but no independent witness set of the required size"
-            )
+    edge = _independent_violation(G, s_prime)
+    if edge is not None:
+        witness = _forbidden(G, k, edge, wide_candidates)
+        if witness is not None:
+            return "rule7", witness
+        return "rule7", Stalled(
+            f"edge {edge[0]}-{edge[1]} inside the odd-position set, "
+            "but no independent witness set of the required size"
+        )
 
     # rule 8: outside vertices must avoid the successor set and S'
-    island = sorted(bits(G.full_mask & ~P.vertex_mask() & ~(1 << x)))
-    for y in island:
-        plus_hits = sorted(bits(G.adj[y] & fwd.plus_mask), key=P.position)
+    plus_mask, s_mask = mask_of(plus), mask_of(s_prime)
+    for y in bits(G.full_mask & ~P.vertex_mask() & ~(1 << x)):
+        plus_hits = sorted(bits(G.adj[y] & plus_mask), key=P.position)
         if len(plus_hits) >= 2:
             xp, xq = (P.pred(w) for w in plus_hits[:2])
             return "rule8", outside_two_neighbors(G, P, y, xp, xq, x)
         if len(plus_hits) == 1:
-            return "rule8", _forbidden_or_bug(G, k, (y, plus_hits[0]), [x] + list(fwd.plus))
-        s_hits = sorted(bits(G.adj[y] & mask_of(s_prime)))
+            return "rule8", _forbidden_or_bug(G, k, (y, plus_hits[0]), [x] + list(plus))
+        s_hits = sorted(bits(G.adj[y] & s_mask))
         if s_hits:
             witness = _forbidden(G, k, (y, s_hits[0]), wide_candidates)
             if witness is not None:
@@ -529,20 +492,19 @@ def extend_or_certify(G: Graph, k: int, P: OrientedPath) -> Step:
     off = G.full_mask & ~P.vertex_mask()
     if not off:
         return "done", HamiltonPath(path=P.seq)
-    comps = components_masks(G.adj, off)
+    # each off-path component with its path neighbors, scanned once
+    comps = [(comp, _neighbors(G, P, comp)) for comp in components_masks(G.adj, off)]
 
     # rule 1: consecutive neighbors of any component admit a splice
-    for comp in comps:
-        nbrs, _ = _component_neighbors(G, P, comp)
+    for comp, nbrs in comps:
         for a, b in zip(nbrs, nbrs[1:]):
             if P.position(b) == P.position(a) + 1:
                 interior = _path_through_component(G, comp, a, b)
                 return "rule1", insert_at_consecutive(G, P, a, interior)
 
     # rule 2: adjacent successors admit a detour through the component
-    for comp in comps:
-        _, plus = _component_neighbors(G, P, comp)
-        bad = _independent_violation(G, plus)
+    for comp, nbrs in comps:
+        bad = _independent_violation(G, _successors(P, nbrs))
         if bad is not None:
             wi, wj = sorted(bad, key=P.position)
             xi, xj = P.pred(wi), P.pred(wj)
@@ -550,8 +512,7 @@ def extend_or_certify(G: Graph, k: int, P: OrientedPath) -> Step:
             return "rule2", via_component_path(G, P, xi, xj, interior)
 
     # rule 3: a component with few path neighbors is a small cut
-    for comp in comps:
-        nbrs, _ = _component_neighbors(G, P, comp)
+    for comp, nbrs in comps:
         if len(nbrs) < 2 * k:
             cut = frozenset(nbrs)
             rest = G.full_mask & ~comp & ~mask_of(nbrs)
@@ -560,18 +521,16 @@ def extend_or_certify(G: Graph, k: int, P: OrientedPath) -> Step:
             return "rule3", SmallCut(cut=cut)
 
     # rule 4: a component edge joins an independent successor set
-    for comp in comps:
+    for comp, nbrs in comps:
         if comp.bit_count() == 1:
             continue
-        z = (comp & -comp).bit_length() - 1
-        inner = G.adj[z] & comp
-        w = (inner & -inner).bit_length() - 1
-        _, plus = _component_neighbors(G, P, comp)
-        return "rule4", _forbidden_or_bug(G, k, (z, w), list(plus))
+        edge = _independent_violation(G, bits(comp))  # comp is connected
+        return "rule4", _forbidden_or_bug(G, k, edge, list(_successors(P, nbrs)))
 
     # rules 5-9 on the singleton component with the lowest vertex
-    x = (comps[0] & -comps[0]).bit_length() - 1
-    return _singleton_phase(G, k, P, x)
+    comp, nbrs = comps[0]
+    x = (comp & -comp).bit_length() - 1
+    return _singleton_phase(G, k, P, x, nbrs)
 
 
 # --- end-to-end extraction --------------------------------------------------

@@ -77,13 +77,14 @@ def parse_graph6(text: str) -> Graph:
 
 def read_graph6_lines(lines) -> list[Graph]:
     """Parse newline-separated graph6 words, skipping blank lines; an
-    error names its 1-based line."""
+    error names its 1-based line and the byte offset within that line."""
     out = []
     for number, line in enumerate(lines, 1):
-        line = line.strip()
-        if line:
+        word = line.strip()
+        if word:
             try:
-                out.append(parse_graph6(line))
+                out.append(parse_graph6(word))
             except Graph6ParseError as exc:
-                raise Graph6ParseError(exc.message, exc.offset, number) from None
+                lead = len(line) - len(line.lstrip())
+                raise Graph6ParseError(exc.message, lead + exc.offset, number) from None
     return out

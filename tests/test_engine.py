@@ -108,6 +108,12 @@ class TestRotations:
         out = three_case(G, P, 1, 3, mask_of((2, 6)), 8)
         assert out.seq == expected
 
+    def test_three_case_needs_two_common_neighbors(self):
+        G = complete_graph(7)
+        P = OrientedPath((0, 1, 2, 3, 4, 5))
+        with pytest.raises(EngineError, match="needs two common neighbors, got 1"):
+            three_case(G, P, 0, 0, mask_of((2,)), 6)
+
     def test_outside_two_neighbors(self):
         # x=6 sits between xp=1 and the reversed middle; y=7 sees the
         # successors 2 and 4 of xp and xq

@@ -217,6 +217,17 @@ class TestGraph6:
         assert exc.value.line == 3 and exc.value.offset == 2
         assert str(exc.value) == "trailing bytes after graph6 word (line 3, byte offset 2)"
 
+    @pytest.mark.parametrize(
+        "lines, line, offset",
+        [(["A_\n", "   A_?\n"], 2, 5), (["  >>graph6<<A_?"], 1, 14)],
+        ids=["indented", "indented-header"],
+    )
+    def test_file_error_offset_counts_from_line_start(self, lines, line, offset):
+        with pytest.raises(Graph6ParseError) as exc:
+            read_graph6_lines(lines)
+        assert (exc.value.line, exc.value.offset) == (line, offset)
+        assert lines[line - 1][offset] == "?"
+
     @settings(max_examples=200, deadline=None)
     @given(random_graph_strategy())
     def test_roundtrip(self, G):

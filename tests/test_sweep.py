@@ -9,6 +9,9 @@ from hamcert import (
     CapacityError,
     FamilySpec,
     GraphInputError,
+    HamiltonPath,
+    SmallCut,
+    Stalled,
     SweepConfig,
     complete_bipartite,
     complete_graph,
@@ -17,11 +20,14 @@ from hamcert import (
     find_induced_p2_plus_kp1,
     graph_from_code,
     hamilton_path_between,
+    parse_family,
     run_sweep,
     vertex_connectivity,
 )
 from hamcert import sweep, write_graph6
+from hamcert.certify import ValidationReport
 from hamcert.cli import main
+from hamcert.engine import ExtractionResult
 from hamcert.errors import EngineError
 from hamcert.sweep import parse_pair_policy, quick_hypotheses
 
@@ -189,6 +195,72 @@ class TestEngineErrors:
         out = capsys.readouterr().out
         assert code == 1
         assert "graphs=64 " in out and "injected fault" in out
+
+
+def _on_k4_pair_1_2(real, outcome):
+    """``extract`` that returns ``outcome`` on K4's pair (1, 2)."""
+
+    def extract(G, k, u, v):
+        if G.is_complete() and (u, v) == (1, 2):
+            return ExtractionResult(outcome=outcome, trace=("rule7",))
+        return real(G, k, u, v)
+
+    return extract
+
+
+K4_ONLY = SweepConfig(families=(FamilySpec(kind="complete", n=4),), ks=(1,))
+K4_WORD = write_graph6(complete_graph(4))
+
+
+class TestViolations:
+    """Each wrong answer on a hypothesis-satisfying graph is named; K4
+    meets every hypothesis for k = 1, so all six pairs are extracted."""
+
+    def test_stalled_on_a_satisfying_graph(self, monkeypatch):
+        monkeypatch.setattr(sweep, "extract", _on_k4_pair_1_2(sweep.extract, Stalled("injected")))
+        summary = run_sweep(K4_ONLY)
+        assert summary.violations == [f"stalled on hypothesis-satisfying graph {K4_WORD} k=1 pair=(1,2)"]
+        assert summary.validation_failures == 0 and not summary.clean
+        assert summary.outcome_tally == {"hamilton_path": 5, "stalled": 1}
+
+    def test_rejected_outcome(self, monkeypatch):
+        # (1, 0, 2) skips vertex 3, so the validator rejects it
+        monkeypatch.setattr(sweep, "extract", _on_k4_pair_1_2(sweep.extract, HamiltonPath((1, 0, 2))))
+        summary = run_sweep(K4_ONLY)
+        assert summary.violations == [f"invalid hamilton_path on {K4_WORD} k=1 pair=(1,2): not-spanning"]
+        assert summary.validation_failures == 1 and not summary.clean
+
+    def test_rejected_outcome_cli_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(sweep, "extract", _on_k4_pair_1_2(sweep.extract, HamiltonPath((1, 0, 2))))
+        code = main(["sweep", "--family", "complete:4", "--k", "1"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "validation_failures=1" in out and "not-spanning" in out
+
+    def test_accepted_certificate_on_a_satisfying_graph(self, monkeypatch):
+        cut = SmallCut(cut=frozenset())
+        monkeypatch.setattr(sweep, "extract", _on_k4_pair_1_2(sweep.extract, cut))
+        monkeypatch.setattr(
+            sweep, "validate_outcome", lambda G, k, u, v, outcome: ValidationReport(outcome.kind, True)
+        )
+        summary = run_sweep(K4_ONLY)
+        assert summary.violations == [
+            f"certificate small_cut on hypothesis-satisfying graph {K4_WORD} k=1 pair=(1,2)"
+        ]
+        assert summary.certificates == 1 and summary.validation_failures == 0
+        assert not summary.clean
+
+
+class TestDeterministicFamilies:
+    def test_sweep_over_every_generated_family(self):
+        families = tuple(
+            parse_family(text) for text in ("complete:5", "bipartite:3,3", "cycle:6", "path:4")
+        )
+        cfg = SweepConfig(families=families, ks=(1, 2), pair_policy=("all", 0))
+        summary = run_sweep(cfg)
+        assert summary.graphs == 4
+        assert summary.satisfying == {1: 1, 2: 1}
+        assert summary.clean
 
 
 class TestPairPolicy:
