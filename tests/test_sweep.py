@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 from fractions import Fraction
@@ -274,3 +275,40 @@ class TestPairPolicy:
     def test_rejects(self, text):
         with pytest.raises(GraphInputError):
             parse_pair_policy(text)
+
+
+PIN_CFG = SweepConfig(
+    families=(FamilySpec(kind="exhaustive", n=5), FamilySpec(kind="gnp", n=8, p=Fraction(3, 4))),
+    ks=(1, 2, 3),
+    pair_policy=("sample", 2),
+    samples=30,
+    seed=11,
+)
+PIN_TALLY = {"small_cut": 4522, "hamilton_path": 2489, "toughness_witness": 60, "forbidden_induced": 93}
+
+
+class TestPinnedOutput:
+    """The records and summary of one fixed sweep, taken from an earlier
+    release's output; any change to what a sweep reports shows here."""
+
+    def test_records_mode(self):
+        lines: list[str] = []
+        summary = run_sweep(PIN_CFG, sink=lines.append)
+        records = [json.loads(line) for line in lines]
+        for rec in records:
+            del rec["elapsed_ms"]
+        digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+        assert digest == "130b328b8eedd0432a5ac1e954912e0908fa7a98b26676d4a43c9fe7afbaa542"
+        assert (summary.graphs, summary.records) == (1024 + 30, 3 * (1024 + 30))
+        assert summary.satisfying == {1: 27, 2: 23, 3: 1}
+        assert summary.outcome_tally == PIN_TALLY
+        assert summary.certificates == 4522 + 60 + 93
+        assert summary.validation_failures == 0 and summary.violations == []
+        assert summary.max_extension_overshoot == 0
+
+    def test_light_mode_agrees(self):
+        summary = run_sweep(replace(PIN_CFG, keep_records=False))
+        assert summary.records == 0
+        assert summary.satisfying == {1: 27, 2: 23, 3: 1}
+        assert summary.outcome_tally == PIN_TALLY
+        assert summary.clean
