@@ -18,7 +18,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .certify import validate_outcome
 from .engine import extract
@@ -27,6 +27,7 @@ from .graph import (
     EXHAUSTIVE_CEILING,
     FamilySpec,
     Graph,
+    _pairs,
     components_masks,  # noqa: F401 - unused here; bench/tracing.py counts fills through it
     gnp_graph,
     graph_from_code,
@@ -63,7 +64,6 @@ class SweepSummary:
     records: int = 0
     satisfying: dict[int, int] = field(default_factory=dict)
     outcome_tally: dict[str, int] = field(default_factory=dict)
-    certificates: int = 0
     validation_failures: int = 0
     violations: list[str] = field(default_factory=list)
     max_extension_overshoot: int = 0  # >0 would break the progress bound
@@ -72,6 +72,10 @@ class SweepSummary:
     def merge_violation(self, text: str) -> None:
         if len(self.violations) < 100:
             self.violations.append(text)
+
+    @property
+    def certificates(self) -> int:
+        return sum(self.outcome_tally.get(kind, 0) for kind in CERTIFICATE_KINDS)
 
     @property
     def clean(self) -> bool:
@@ -104,23 +108,19 @@ def _check_capacity(cfg: SweepConfig) -> None:
 
 
 def _task_stream(cfg: SweepConfig) -> Iterator[tuple]:
-    idx = 0
+    """Every task of the sweep in order, without the index ``run_sweep`` puts first."""
     for n, adj in cfg.input_graphs:
-        yield (idx, "graph", n, adj)
-        idx += 1
+        yield ("graph", n, adj)
     for fam in cfg.families:
         if fam.kind == "exhaustive":
             for code in range(1 << (fam.n * (fam.n - 1) // 2)):
-                yield (idx, "code", fam.n, code)
-                idx += 1
+                yield ("code", fam.n, code)
         elif fam.kind == "gnp":
             for i in range(cfg.samples):
-                yield (idx, "gnp", fam.n, fam.p.numerator, fam.p.denominator, cfg.seed, i)
-                idx += 1
+                yield ("gnp", fam.n, fam.p.numerator, fam.p.denominator, cfg.seed, i)
         else:
             for G in generate(fam):
-                yield (idx, "graph", G.n, G.adj)
-                idx += 1
+                yield ("graph", G.n, G.adj)
 
 
 def _materialize(task: tuple) -> Graph:
@@ -155,37 +155,27 @@ def quick_hypotheses(G: Graph, ks: tuple[int, ...]) -> dict[int, tuple[bool, boo
 # --- per-graph processing ---------------------------------------------------
 
 
-def _select_pairs(n: int, policy: PairPolicy, seed: int, idx: int, k: int) -> list[tuple[int, int]]:
+def _select_pairs(
+    n: int, policy: PairPolicy, seed: int, idx: int, k: int, all_hyp: bool
+) -> Sequence[tuple[int, int]]:
+    """Every pair of a satisfying graph, none below three vertices (where
+    ``extract`` cannot run), otherwise the pairs the policy picks."""
     kind, m = policy
-    if kind == "none":
-        return []
-    all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    if kind == "all":
-        return all_pairs
+    if n < 3 or (kind == "none" and not all_hyp):
+        return ()
+    every = _pairs(n)
+    if all_hyp or kind == "all":
+        return every
     rng = Random(f"hamcert-pairs:{seed}:{idx}:{k}")
-    m = min(m, len(all_pairs))
-    return sorted(rng.sample(all_pairs, m))
+    return sorted(rng.sample(every, min(m, len(every))))
 
 
 def process_task(task: tuple, cfg: SweepConfig) -> tuple[list[dict], dict]:
     """Run one graph through every k: hypothesis evaluation, extraction
     on the selected pairs, validation. Returns (records, summary delta)."""
-    idx = task[0]
     G = _materialize(task)
     n = G.n
     started = time.perf_counter()
-    records: list[dict] = []
-    delta: dict = {
-        "graphs": 1,
-        "satisfying": {},
-        "tally": {},
-        "certificates": 0,
-        "validation_failures": 0,
-        "violations": [],
-        "max_overshoot": 0,
-    }
-    word: str | None = None
-
     if cfg.keep_records:
         kappa, tough = cut_scan(G)
         word = write_graph6(G)
@@ -195,70 +185,45 @@ def process_task(task: tuple, cfg: SweepConfig) -> tuple[list[dict], dict]:
             for k in cfg.ks
         }
     else:
-        kappa, tough = None, None
+        word = None
         hyp = quick_hypotheses(G, cfg.ks)
+    records: list[dict] = []
+    satisfying: dict[int, int] = {}
+    outcomes: dict[str, int] = {}
+    failures = overshoot = 0
+    found: list[tuple[str, str]] = []  # each violation's text before and after the graph6 word
 
     for k in cfg.ks:
         is2k, free, tough_gt1 = hyp[k]
         all_hyp = bool(is2k and free and tough_gt1)
         if all_hyp:
-            delta["satisfying"][k] = delta["satisfying"].get(k, 0) + 1
-
-        if n >= 3:
-            pairs = (
-                [(u, v) for u in range(n) for v in range(u + 1, n)]
-                if all_hyp
-                else _select_pairs(n, cfg.pair_policy, cfg.seed, idx, k)
-            )
-        else:
-            pairs = []
+            satisfying[k] = satisfying.get(k, 0) + 1
+        pairs = _select_pairs(n, cfg.pair_policy, cfg.seed, task[0], k, all_hyp)
         tally: dict[str, int] = {}
         valid = paths = 0  # accepted outcomes, and the Hamilton paths among them
         for (u, v) in pairs:
+            where = f"k={k} pair=({u},{v})"
             try:
                 res = extract(G, k, u, v)
             except EngineError as exc:
-                word = word or write_graph6(G)
-                delta["violations"].append(f"engine error on {word} k={k} pair=({u},{v}): {exc}")
+                found.append(("engine error on", f"{where}: {exc}"))
                 continue
             kind = res.outcome.kind
             tally[kind] = tally.get(kind, 0) + 1
-            overshoot = res.extended_steps - max(0, n - 2)
-            if overshoot > delta["max_overshoot"]:
-                delta["max_overshoot"] = overshoot
-            if kind == "stalled":
-                if all_hyp:
-                    word = word or write_graph6(G)
-                    delta["violations"].append(
-                        f"stalled on hypothesis-satisfying graph {word} k={k} pair=({u},{v})"
-                    )
-            else:
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+            overshoot = max(overshoot, res.extended_steps - max(0, n - 2))
+            if kind != "stalled":  # a stall certifies nothing, so there is nothing to validate
                 report = validate_outcome(G, k, u, v, res.outcome)
-                if kind in CERTIFICATE_KINDS:
-                    delta["certificates"] += 1
                 if not report.accepted:
-                    word = word or write_graph6(G)
-                    delta["validation_failures"] += 1
-                    delta["violations"].append(
-                        f"invalid {kind} on {word} k={k} pair=({u},{v}): {report.code}"
-                    )
+                    failures += 1
+                    found.append((f"invalid {kind} on", f"{where}: {report.code}"))
                 else:
                     valid += 1
                     if kind == "hamilton_path":
                         paths += 1
-                if all_hyp and kind != "hamilton_path":
-                    word = word or write_graph6(G)
-                    delta["violations"].append(
-                        f"certificate {kind} on hypothesis-satisfying graph {word} "
-                        f"k={k} pair=({u},{v})"
-                    )
-        for kind, c in tally.items():
-            delta["tally"][kind] = delta["tally"].get(kind, 0) + c
-
-        # a satisfying graph had every pair extracted: it is hamiltonian-
-        # connected iff each got an accepted path; any other pair is a
-        # violation above already
-        ham_connected = paths == len(pairs) if all_hyp and n >= 3 else None
+            if all_hyp and kind != "hamilton_path":
+                label = "stalled" if kind == "stalled" else f"certificate {kind}"
+                found.append((f"{label} on hypothesis-satisfying graph", where))
 
         if cfg.keep_records:
             records.append(
@@ -270,24 +235,33 @@ def process_task(task: tuple, cfg: SweepConfig) -> tuple[list[dict], dict]:
                     "toughness": tough.describe(),
                     "forbidden_free": free,
                     "all_hypotheses": all_hyp,
-                    "hamiltonian_connected": ham_connected,
+                    # a satisfying graph has kappa >= 2, so n >= 3, and every
+                    # pair extracted: it needs an accepted path for each
+                    "hamiltonian_connected": paths == len(pairs) if all_hyp else None,
                     "pairs": tally,
                     "pairs_attempted": len(pairs),
                     "validation_passes": valid,
                     "elapsed_ms": round((time.perf_counter() - started) * 1000, 3),
                 }
             )
-    return records, delta
+    if found:
+        word = word or write_graph6(G)
+    return records, {
+        "satisfying": satisfying,
+        "tally": outcomes,
+        "validation_failures": failures,
+        "violations": [f"{what} {word} {where}" for what, where in found],
+        "max_overshoot": overshoot,
+    }
 
 
 def _merge(summary: SweepSummary, records: list[dict], delta: dict) -> None:
-    summary.graphs += delta["graphs"]
+    summary.graphs += 1  # a delta describes one graph
     summary.records += len(records)
     for k, c in delta["satisfying"].items():
         summary.satisfying[k] = summary.satisfying.get(k, 0) + c
     for kind, c in delta["tally"].items():
         summary.outcome_tally[kind] = summary.outcome_tally.get(kind, 0) + c
-    summary.certificates += delta["certificates"]
     summary.validation_failures += delta["validation_failures"]
     for v in delta["violations"]:
         summary.merge_violation(v)
@@ -305,7 +279,7 @@ def run_sweep(
     _check_capacity(cfg)
     summary = SweepSummary()
     started = time.perf_counter()
-    tasks = _task_stream(cfg)
+    tasks = ((idx, *task) for idx, task in enumerate(_task_stream(cfg)))
     with ExitStack() as stack:
         if cfg.jobs > 1:
             import multiprocessing as mp
@@ -317,19 +291,15 @@ def run_sweep(
             results = (process_task(task, cfg) for task in tasks)
         for records, delta in results:
             _merge(summary, records, delta)
-            _emit(records, sink)
+            if sink is not None:
+                for rec in records:
+                    sink(json.dumps(rec, sort_keys=True))
             if progress and summary.graphs % 50000 == 0:
                 progress(summary.graphs)
     summary.elapsed_s = time.perf_counter() - started
     if not summary.graphs:
         raise GraphInputError("the sweep selected no graphs")
     return summary
-
-
-def _emit(records: list[dict], sink) -> None:
-    if sink is not None:
-        for rec in records:
-            sink(json.dumps(rec, sort_keys=True))
 
 
 _worker_cfg: SweepConfig | None = None  # set in each pool worker by _init_worker

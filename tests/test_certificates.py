@@ -150,6 +150,25 @@ class TestToughnessValidation:
         rep = validate_outcome(G, 1, 0, 1, out)
         assert not rep.accepted
 
+    def test_rejects_non_cut(self):
+        # K3 minus {0, 1} is one vertex: a single component
+        out = ToughnessWitness(cut=frozenset({0, 1}), independent=frozenset({2}))
+        rep = validate_outcome(complete_graph(3), 1, 0, 1, out)
+        assert not rep.accepted and rep.code == "not-a-cut"
+
+
+@pytest.mark.parametrize(
+    "out",
+    [
+        ForbiddenInduced(edge=(0, 1), independent=frozenset({9})),
+        ToughnessWitness(cut=frozenset({1, 2}), independent=frozenset({0, 3, 9})),
+    ],
+    ids=["forbidden_induced", "toughness_witness"],
+)
+def test_witness_naming_a_non_vertex_is_rejected(out):
+    rep = validate_outcome(path_graph(4), 1, 0, 3, out)
+    assert not rep.accepted and rep.code == "range"
+
 
 C5_CLAIMS = [
     HamiltonPath((0, 1, 2, 3, 4)),

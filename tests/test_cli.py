@@ -288,3 +288,28 @@ def test_non_utf8_file_exits_2(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, *argv, str(f))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+EMPTY_FILE = "<an empty file>"  # replaced by the path of one
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("invariants", "--k", "1", "--family", "exhaustive:4"), "only make sense under sweep"),
+        (("invariants", "--k", "1", "--input", EMPTY_FILE), "no graph6 lines"),
+        (("sweep", "--k", "1,x"), "bad --k list '1,x'"),
+        (("sweep", "--k", "0,1"), "every k must be at least 1"),
+        (("sweep", "--k", "1"), "sweep needs --family or --input"),
+        (("validate", "--graph6", K44, "--outcome", EMPTY_FILE), "no outcome record"),
+        (("tightness", "--n", "16"), "capped at n=12"),
+    ],
+    ids=["invariants-exhaustive", "invariants-empty-input", "sweep-bad-k", "sweep-k-0",
+         "sweep-no-graphs", "validate-empty-outcome", "tightness-over-cap"],
+)
+def test_bad_input_exits_2(capsys, tmp_path, argv, message):
+    empty = tmp_path / "empty"
+    empty.write_text("")
+    code, out, err = run_cli(capsys, *(str(empty) if a == EMPTY_FILE else a for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err

@@ -56,8 +56,20 @@ class TestGraph:
             build_graph(3, [(0, 0)])
         with pytest.raises(GraphInputError):
             build_graph(3, [(0, 3)])
-        with pytest.raises(GraphInputError):
-            Graph(2, (1, 0))  # asymmetric
+        with pytest.raises(GraphInputError, match="loop at vertex 0"):
+            Graph(2, (1, 0))  # bit 0 of vertex 0's row is a loop
+
+    @pytest.mark.parametrize(
+        "adj, message",
+        [
+            ((2, 0), "asymmetric adjacency 0-1"),
+            ((2,), "adjacency length does not match n"),
+            ((4, 0), "vertex 0 has a neighbor >= n"),
+        ],
+    )
+    def test_rejects_bad_adjacency(self, adj, message):
+        with pytest.raises(GraphInputError, match=message):
+            Graph(2, adj)
 
     def test_rejects_too_large(self):
         with pytest.raises(CapacityError):
