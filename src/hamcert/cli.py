@@ -234,12 +234,21 @@ def cmd_validate(args) -> int:
     return 1 if failures else 0
 
 
+class _OneLineParser(argparse.ArgumentParser):
+    """Reports a bad command line as one ``error:`` line and exit 2, like
+    every other bad input, instead of argparse's usage block."""
+
+    def error(self, message: str):
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _OneLineParser(
         prog="hamcert",
         description="Certified spanning-path extraction and invariant oracles for small graphs.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_OneLineParser)
 
     p = sub.add_parser("invariants", help="connectivity, toughness, forbidden pattern, hypotheses")
     _add_graph_flags(p)

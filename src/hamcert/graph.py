@@ -103,7 +103,11 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 def components_masks(adj: tuple[int, ...], remaining: int) -> list[int]:
     """Connected components of the subgraph induced on ``remaining``,
     ordered by their lowest vertex. A frontier fill: each vertex is
-    expanded once, adding its neighbors not yet reached.
+    expanded once, adding its neighbors not yet reached. It serves one-off
+    calls at any n: the engine's off-path components, the validator
+    (through ``components_after_removal``), ``is_connected``, Hamilton
+    backtracking's pruning and the brute-force connectivity oracle. The
+    cut scan counts its components with its own per-scan tables.
     """
     out = []
     rem = remaining

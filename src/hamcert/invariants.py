@@ -62,6 +62,17 @@ class Toughness:
         return f"{self.value.numerator}/{self.value.denominator}"
 
 
+def _neighbourhood_unions(adj: list[int], first: int, count: int) -> list[int]:
+    """``t[m]`` = the union of ``adj[first + i]`` over the bits i of m, for
+    every m < 2**count; each entry extends the one without m's lowest bit.
+    """
+    table = [0] * (1 << count)
+    for m in range(1, 1 << count):
+        low = m & -m
+        table[m] = table[m ^ low] | adj[first + low.bit_length() - 1]
+    return table
+
+
 def _scan_cuts(G: Graph, kappa_cap: int, exact: bool) -> tuple[int, int, int, int, int]:
     """The one subset-enumeration kernel behind every cut-based oracle.
 
@@ -72,6 +83,15 @@ def _scan_cuts(G: Graph, kappa_cap: int, exact: bool) -> tuple[int, int, int, in
     |S|/(n-|S|), which bounds every later ratio, reaches the best ratio.
     Threshold mode decides only whether toughness <= 1: it stops once kappa
     is settled up to the cap and a cut with |S| <= c(G-S) is met or |S| > n/2.
+
+    Components of G - S are counted inline, a whole BFS layer per step:
+    with h = ceil(n/2), ``lo`` holds the closed-neighbourhood union of every
+    set of vertices below h and ``hi`` of every set from h up, so a
+    component's next layer is two table lookups. The tables (at most
+    2 * 256 entries) are built once per scan and pay off over its thousands
+    of removal sets; ``components_masks``, which expands one vertex per
+    step, stays the fill for one-off calls, where building the tables would
+    cost more than it saves.
     """
     n = G.n
     if n > TOUGHNESS_CEILING:
@@ -80,7 +100,6 @@ def _scan_cuts(G: Graph, kappa_cap: int, exact: bool) -> tuple[int, int, int, in
         )
     if G.is_complete():
         return min(n - 1, kappa_cap), 0, 0, 0, 0
-    adj = G.adj
     full = G.full_mask
     kappa = -1
     num = den = cut = best_c = 0
@@ -92,13 +111,28 @@ def _scan_cuts(G: Graph, kappa_cap: int, exact: bool) -> tuple[int, int, int, in
             return den > 0 and size * den >= num * (n - size)
         return (den > 0 and num <= den) or 2 * size > n
 
+    h = (n + 1) // 2
+    low_mask = (1 << h) - 1
+    closed = [a | 1 << v for v, a in enumerate(G.adj)]
+    lo = _neighbourhood_unions(closed, 0, h)
+    hi = _neighbourhood_unions(closed, h, n - h)
     vertex_bits = [1 << v for v in range(n)]
     for size in range(n - 1):
         if settled(size):
             break
         for sub in combinations(vertex_bits, size):
             rm = sum(sub)
-            c = len(components_masks(adj, full & ~rm))
+            rem = full & ~rm
+            c = 0
+            while rem:
+                comp = rem & -rem
+                while True:
+                    grown = (lo[comp & low_mask] | hi[comp >> h]) & rem
+                    if grown == comp:
+                        break
+                    comp = grown
+                rem ^= comp
+                c += 1
             if c >= 2:
                 if kappa < 0:
                     kappa = size

@@ -10,7 +10,10 @@ from hamcert.cli import main, tightness_report
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejected the command line
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -303,9 +306,13 @@ EMPTY_FILE = "<an empty file>"  # replaced by the path of one
         (("sweep", "--k", "1"), "sweep needs --family or --input"),
         (("validate", "--graph6", K44, "--outcome", EMPTY_FILE), "no outcome record"),
         (("tightness", "--n", "16"), "capped at n=12"),
+        (("invariants", "--family", "exhaustive:4"), "required: --k"),
+        (("invariants", "--family", "exhaustive:4", "--k", "x"), "invalid int value: 'x'"),
+        (("frobnicate",), "invalid choice: 'frobnicate'"),
     ],
     ids=["invariants-exhaustive", "invariants-empty-input", "sweep-bad-k", "sweep-k-0",
-         "sweep-no-graphs", "validate-empty-outcome", "tightness-over-cap"],
+         "sweep-no-graphs", "validate-empty-outcome", "tightness-over-cap",
+         "invariants-missing-k", "invariants-bad-k", "unknown-command"],
 )
 def test_bad_input_exits_2(capsys, tmp_path, argv, message):
     empty = tmp_path / "empty"

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from hamcert import (
     cycle_graph,
     exhaustive_graphs,
     find_induced_p2_plus_kp1,
+    gnp_graph,
     graph_from_code,
     hamilton_path_between,
     hypothesis_check,
@@ -24,6 +26,7 @@ from hamcert import (
     vertex_connectivity_bruteforce,
 )
 from hamcert.invariants import find_forbidden_naive
+from hamcert.sweep import quick_hypotheses
 
 
 def petersen():
@@ -45,6 +48,19 @@ def small_random_graphs(count, max_n=8, seed_tag="inv"):
     return out
 
 
+def bruteforce_least_cut(G):
+    """(|S|/c(G-S), |S|, sorted S, c(G-S)) least over every disconnecting
+    S, so S is the toughness witness under the fewest-vertices-then-
+    lexicographic tie-break; None when no S disconnects G."""
+    best = None
+    for size in range(G.n - 1):
+        for cut in combinations(range(G.n), size):
+            c = len(components_after_removal(G, cut))
+            if c >= 2 and (best is None or (Fraction(size, c), size, cut) < best[:3]):
+                best = (Fraction(size, c), size, cut, c)
+    return best
+
+
 class TestConnectivity:
     def test_known_values(self):
         assert vertex_connectivity(complete_graph(5)) == 4
@@ -58,12 +74,12 @@ class TestConnectivity:
     def test_single_vertex(self):
         assert vertex_connectivity(complete_graph(1)) == 0
 
-    def test_flow_matches_bruteforce_small(self):
+    def test_scan_matches_bruteforce_small(self):
         for n in range(1, 6):
             for G in exhaustive_graphs(n):
                 assert vertex_connectivity(G) == vertex_connectivity_bruteforce(G)
 
-    def test_flow_matches_bruteforce_random(self):
+    def test_scan_matches_bruteforce_random(self):
         for G in small_random_graphs(150, max_n=8, seed_tag="kappa"):
             assert vertex_connectivity(G) == vertex_connectivity_bruteforce(G)
 
@@ -93,42 +109,61 @@ class TestToughness:
             assert Fraction(len(t.cut), len(comps)) == t.value
 
     def test_witness_is_minimal_bruteforce(self):
-        from itertools import combinations
-
         for G in exhaustive_graphs(4):
             if G.is_complete():
                 continue
-            best = None
-            for size in range(G.n - 1):
-                for sub in combinations(range(G.n), size):
-                    c = len(components_after_removal(G, sub))
-                    if c >= 2:
-                        r = Fraction(size, c)
-                        best = r if best is None else min(best, r)
-            assert toughness(G).value == best
+            assert toughness(G).value == bruteforce_least_cut(G)[0]
 
     def test_witness_tie_break(self):
         # among cuts of least ratio: fewest vertices, then lexicographically first
-        from itertools import combinations
-
         for n in range(2, 6):
             for G in exhaustive_graphs(n):
                 if G.is_complete():
                     continue
-                cuts = []
-                for size in range(n - 1):
-                    for cut in combinations(range(n), size):
-                        c = len(components_after_removal(G, cut))
-                        if c >= 2:
-                            cuts.append((Fraction(size, c), size, cut))
-                assert toughness(G).cut == frozenset(min(cuts)[2])
+                assert toughness(G).cut == frozenset(bruteforce_least_cut(G)[2])
 
     def test_cut_scan_agrees_with_separate_oracles(self):
         for G in small_random_graphs(100, max_n=7, seed_tag="scan"):
             kappa, tough = cut_scan(G)
             assert kappa == vertex_connectivity_bruteforce(G)
             if not G.is_complete():
-                assert tough.value == toughness(G).value
+                value, _, cut, _ = bruteforce_least_cut(G)
+                assert (tough.value, tough.cut) == (value, frozenset(cut))
+
+
+LARGER_GRAPHS = {
+    **{
+        f"gnp-{n}-{p.replace('/', 'of')}": gnp_graph(n, Fraction(p), seed=n)
+        for n in (9, 11, 13, 16)
+        for p in ("1/4", "1/2", "3/4")
+    },
+    "path-16": path_graph(16),
+    "cycle-16": cycle_graph(16),
+    "bipartite-8-8": complete_bipartite(8, 8),
+    "disconnected-16": build_graph(
+        16, [*combinations(range(8), 2), *((8 + i, 8 + (i + 1) % 8) for i in range(8))]
+    ),
+}
+
+
+class TestScanAtLargerN:
+    """n = 9-16, where the scan's split neighbourhood tables have two
+    non-trivial halves and long diameters give many BFS layers."""
+
+    @pytest.mark.parametrize("G", LARGER_GRAPHS.values(), ids=LARGER_GRAPHS.keys())
+    def test_matches_bruteforce(self, G):
+        kappa, tough = cut_scan(G)
+        assert kappa == vertex_connectivity_bruteforce(G)
+        value, _, cut, c = bruteforce_least_cut(G)
+        assert not tough.is_infinite
+        assert (tough.value, tough.cut, tough.component_count) == (value, frozenset(cut), c)
+        tough_gt1 = value > 1
+        expected = {}
+        for k in (1, 2):
+            is2k = kappa >= 2 * k
+            free = find_induced_p2_plus_kp1(G, k) is None if is2k and tough_gt1 else None
+            expected[k] = (is2k, free, tough_gt1)
+        assert quick_hypotheses(G, (1, 2)) == expected
 
 
 class TestForbiddenPattern:
