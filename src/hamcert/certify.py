@@ -21,103 +21,93 @@ from .outcomes import (
 
 @dataclass(frozen=True)
 class ValidationReport:
-    outcome_kind: str
-    accepted: bool
+    """``code`` names the first failed check, or is "ok" on acceptance."""
+
     code: str = "ok"
     detail: str = ""
 
-
-def _reject(kind: str, code: str, detail: str) -> ValidationReport:
-    return ValidationReport(outcome_kind=kind, accepted=False, code=code, detail=detail)
-
-
-def _accept(kind: str) -> ValidationReport:
-    return ValidationReport(outcome_kind=kind, accepted=True)
+    @property
+    def accepted(self) -> bool:
+        return self.code == "ok"
 
 
 def _check_hamilton(G: Graph, u: int, v: int, outcome: HamiltonPath) -> ValidationReport:
-    kind = outcome.kind
     path = outcome.path
     if len(path) != G.n or set(path) != set(range(G.n)):
-        return _reject(kind, "not-spanning", "path does not visit every vertex once")
+        return ValidationReport("not-spanning", "path does not visit every vertex once")
     if path[0] != u or path[-1] != v:
-        return _reject(kind, "endpoints", f"endpoints are not ({u},{v})")
+        return ValidationReport("endpoints", f"endpoints are not ({u},{v})")
     for a, b in zip(path, path[1:]):
         if not G.has_edge(a, b):
-            return _reject(kind, "missing-edge", f"consecutive pair {a}-{b} not adjacent")
-    return _accept(kind)
+            return ValidationReport("missing-edge", f"consecutive pair {a}-{b} not adjacent")
+    return ValidationReport()
 
 
 def _check_small_cut(G: Graph, k: int, outcome: SmallCut) -> ValidationReport:
-    kind = outcome.kind
     cut = outcome.cut
     if any(not 0 <= w < G.n for w in cut):
-        return _reject(kind, "range", "cut contains a non-vertex")
+        return ValidationReport("range", "cut contains a non-vertex")
     if len(cut) >= 2 * k:
-        return _reject(kind, "too-large", f"|cut|={len(cut)} is not below {2 * k}")
+        return ValidationReport("too-large", f"|cut|={len(cut)} is not below {2 * k}")
     if len(components_after_removal(G, cut)) < 2:
-        return _reject(kind, "not-a-cut", "removal leaves fewer than two components")
-    return _accept(kind)
+        return ValidationReport("not-a-cut", "removal leaves fewer than two components")
+    return ValidationReport()
 
 
 def _check_forbidden(G: Graph, k: int, outcome: ForbiddenInduced) -> ValidationReport:
-    kind = outcome.kind
     z, w = outcome.edge
     members = outcome.independent
     if any(not 0 <= c < G.n for c in (z, w, *members)):
-        return _reject(kind, "range", "witness contains a non-vertex")
+        return ValidationReport("range", "witness contains a non-vertex")
     if len(members) != k:
-        return _reject(kind, "size", f"independent set has {len(members)} vertices, not {k}")
+        return ValidationReport("size", f"independent set has {len(members)} vertices, not {k}")
     if z == w or z in members or w in members:
-        return _reject(kind, "distinct", "the k+2 witness vertices are not distinct")
+        return ValidationReport("distinct", "the k+2 witness vertices are not distinct")
     if not G.has_edge(z, w):
-        return _reject(kind, "no-edge", f"claimed edge {z}-{w} is absent")
+        return ValidationReport("no-edge", f"claimed edge {z}-{w} is absent")
     for c in members:
         if G.has_edge(c, z) or G.has_edge(c, w):
-            return _reject(kind, "edge-adjacent", f"vertex {c} touches the edge")
+            return ValidationReport("edge-adjacent", f"vertex {c} touches the edge")
     for c in members:
         for d in members:
             if c < d and G.has_edge(c, d):
-                return _reject(kind, "not-independent", f"edge {c}-{d} inside the set")
-    return _accept(kind)
+                return ValidationReport("not-independent", f"edge {c}-{d} inside the set")
+    return ValidationReport()
 
 
 def _check_toughness(G: Graph, outcome: ToughnessWitness) -> ValidationReport:
-    kind = outcome.kind
     cut = outcome.cut
     members = outcome.independent
     if any(not 0 <= c < G.n for c in cut | members):
-        return _reject(kind, "range", "witness contains a non-vertex")
+        return ValidationReport("range", "witness contains a non-vertex")
     if cut & members or cut | members != set(range(G.n)):
-        return _reject(kind, "partition", "cut and witness set do not partition V(G)")
+        return ValidationReport("partition", "cut and witness set do not partition V(G)")
     for c in members:
         for d in members:
             if c < d and G.has_edge(c, d):
-                return _reject(kind, "not-independent", f"edge {c}-{d} inside the set")
+                return ValidationReport("not-independent", f"edge {c}-{d} inside the set")
     comps = components_after_removal(G, cut)
     if len(comps) < 2:
-        return _reject(kind, "not-a-cut", "removal leaves fewer than two components")
+        return ValidationReport("not-a-cut", "removal leaves fewer than two components")
     if len(cut) > len(comps):
-        return _reject(
-            kind,
+        return ValidationReport(
             "ratio",
             f"|cut|={len(cut)} exceeds the component count {len(comps)}; "
             "toughness <= 1 not established",
         )
     if len(cut) < 1:
-        return _reject(kind, "empty-cut", "toughness witness needs a nonempty cut")
-    return _accept(kind)
+        return ValidationReport("empty-cut", "toughness witness needs a nonempty cut")
+    return ValidationReport()
 
 
 def validate_outcome(G: Graph, k: int, u: int, v: int, outcome: Outcome) -> ValidationReport:
     """Accept iff the outcome proves what its kind claims about (G,k,u,v);
     a claim about k < 1 or about a pair that is not two distinct vertices
     of G is rejected whatever its kind."""
-    kind = getattr(outcome, "kind", "unknown")
     if k < 1:
-        return _reject(kind, "bad-k", f"k={k} is below 1")
+        return ValidationReport("bad-k", f"k={k} is below 1")
     if not (0 <= u < G.n and 0 <= v < G.n) or u == v:
-        return _reject(kind, "bad-pair", f"({u},{v}) is not two distinct vertices of G")
+        return ValidationReport("bad-pair", f"({u},{v}) is not two distinct vertices of G")
     if isinstance(outcome, HamiltonPath):
         return _check_hamilton(G, u, v, outcome)
     if isinstance(outcome, SmallCut):
@@ -126,4 +116,4 @@ def validate_outcome(G: Graph, k: int, u: int, v: int, outcome: Outcome) -> Vali
         return _check_forbidden(G, k, outcome)
     if isinstance(outcome, ToughnessWitness):
         return _check_toughness(G, outcome)
-    return _reject(kind, "unknown-kind", "not a validatable outcome")
+    return ValidationReport("unknown-kind", "not a validatable outcome")

@@ -5,9 +5,9 @@ analysis as a fixed cascade, rules 1-9, and nothing else. Each step
 either lengthens the path by an explicit rotation or emits a
 machine-checkable certificate that one of the three hypotheses
 (2k-connectivity, freeness from the edge-plus-k-isolated-vertices
-pattern, toughness > 1) fails. When rule 7 or 8 can do neither, the
-step is reported as ``Stalled`` under that rule's name, never rescued;
-on a graph meeting all three hypotheses that is a bug.
+pattern, toughness > 1) fails. Only rule 7, and only for k >= 2, can
+do neither. That step is reported as ``Stalled`` under rule 7's name
+and never rescued; on a graph meeting all three hypotheses it is a bug.
 
 Every rotation is a splice that rebuilds the path from segments of
 itself, some reversed, plus off-path vertices, and passes one check
@@ -455,13 +455,9 @@ def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int, nbrs: tuple[int,
             return "rule8", _forbidden_or_bug(G, k, (y, plus_hits[0]), [x] + list(plus))
         s_hits = sorted(bits(G.adj[y] & s_mask))
         if s_hits:
-            witness = _forbidden(G, k, (y, s_hits[0]), wide_candidates)
-            if witness is not None:
-                return "rule8", witness
-            return "rule8", Stalled(
-                f"outside vertex {y} touches the odd-position set, "
-                "but no independent witness set of the required size"
-            )
+            # {x} | plus avoids y, s_hits[0] and their neighbourhoods, lies in
+            # the independent {x} | S', and has at least 2k members (rule 3)
+            return "rule8", _forbidden_or_bug(G, k, (y, s_hits[0]), wide_candidates)
 
     # rule 9: the toughness endgame. Rules 4, 7 and 8 leave the witness set
     # independent, and rule 6's odd segments make it no smaller than the cut

@@ -238,19 +238,24 @@ def generate(spec: FamilySpec) -> Iterator[Graph]:
 
 
 def parse_family(text: str) -> FamilySpec:
-    """Parse CLI family specs like ``complete:5``, ``bipartite:4,4``, ``gnp:10,1/2``."""
+    """Parse CLI family specs like ``complete:5``, ``bipartite:4,4``, ``gnp:10,1/2``;
+    a spec past ``MAX_VERTICES`` is refused before any graph is built."""
     kind, _, rest = text.partition(":")
     try:
         if kind in ("complete", "cycle", "path", "exhaustive"):
-            return FamilySpec(kind=kind, n=int(rest))
-        if kind == "bipartite":
+            spec = FamilySpec(kind=kind, n=int(rest))
+        elif kind == "bipartite":
             s, t = (int(x) for x in rest.split(","))
             if min(s, t) < 0:
                 raise GraphInputError("part sizes must be non-negative")
-            return FamilySpec(kind=kind, n=s + t, s=s, t=t)
-        if kind == "gnp":
+            spec = FamilySpec(kind=kind, n=s + t, s=s, t=t)
+        elif kind == "gnp":
             n_text, p_text = rest.split(",")
-            return FamilySpec(kind=kind, n=int(n_text), p=Fraction(p_text))
+            spec = FamilySpec(kind=kind, n=int(n_text), p=Fraction(p_text))
+        else:
+            raise GraphInputError(f"unknown family {kind!r}")
     except (ValueError, ZeroDivisionError) as exc:
         raise GraphInputError(f"bad family spec {text!r}: {exc}") from exc
-    raise GraphInputError(f"unknown family {kind!r}")
+    if spec.n > MAX_VERTICES:
+        raise CapacityError(f"n={spec.n} exceeds the ceiling of {MAX_VERTICES}")
+    return spec

@@ -8,7 +8,7 @@ toughness comparisons never touch floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -288,14 +288,10 @@ class HypothesisReport:
     forbidden_witness: ForbiddenInduced | None
     toughness: Toughness
     toughness_exceeds_one: bool
-    all_hypotheses: bool = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "all_hypotheses",
-            self.is_2k_connected and self.forbidden_free and self.toughness_exceeds_one,
-        )
+    @property
+    def all_hypotheses(self) -> bool:
+        return self.is_2k_connected and self.forbidden_free and self.toughness_exceeds_one
 
 
 def hypothesis_check(G: Graph, k: int) -> HypothesisReport:

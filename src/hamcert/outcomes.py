@@ -47,7 +47,8 @@ class ToughnessWitness:
 
 @dataclass(frozen=True)
 class Stalled:
-    """The engine could neither extend nor certify; off-hypothesis only."""
+    """Rule 7 could neither extend nor certify: possible only for
+    k >= 2 and only off the hypotheses."""
 
     kind = "stalled"
     diagnostic: str

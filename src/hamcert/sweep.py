@@ -79,7 +79,8 @@ class SweepSummary:
 
     @property
     def clean(self) -> bool:
-        return not self.violations and self.validation_failures == 0
+        # every validation failure also records a violation
+        return not self.violations
 
 
 def parse_pair_policy(text: str) -> PairPolicy:

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from hamcert import complete_bipartite, complete_graph, invariants, write_graph6
+from hamcert import cli, complete_bipartite, complete_graph, invariants, write_graph6
 from hamcert.cli import main, tightness_report
 
 
@@ -66,6 +66,23 @@ class TestInvariantsCommand:
         code, out, err = run_cli(capsys, command, "--family", "bipartite:-1,3", "--k", "1")
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("invariants", ("--k", "1")),
+            ("extract", ("--k", "1", "--u", "0", "--v", "1")),
+            ("validate", ("--outcome", "-")),
+        ],
+    )
+    def test_oversized_family_exits_2_before_building(self, capsys, monkeypatch, command, flags):
+        def forbidden(spec):
+            raise AssertionError("built a family graph past the vertex ceiling")
+
+        monkeypatch.setattr(cli, "generate", forbidden)
+        code, out, err = run_cli(capsys, command, "--family", "complete:1000000000", *flags)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "exceeds the ceiling of 62" in err
 
     def test_input_file(self, capsys, tmp_path):
         f = tmp_path / "g.g6"

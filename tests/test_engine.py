@@ -268,6 +268,15 @@ class TestExtract:
         assert res.trace == ("rule1", "rule7")
         assert not validate_outcome(G, 1, 2, 3, res.outcome).accepted
 
+    def test_rule8_witness_is_guaranteed(self, monkeypatch):
+        """Rule 8 has no stall: once rule 7 has passed, a witness always
+        exists, so failing to assemble one is an engine bug."""
+        G = parse_graph6("Es]O")
+        assert extract(G, 1, 3, 0).trace == ("rule1", "rule8")
+        monkeypatch.setattr(engine, "_forbidden", lambda *args: None)
+        with pytest.raises(EngineError, match="guaranteed forbidden witness"):
+            extract(G, 1, 3, 0)
+
 
 class TestDeepRules:
     """The rules that only fire deep in the cascade, pinned through
@@ -307,6 +316,21 @@ class TestDeepRules:
                 ("rule1",) * 4 + ("rule9",),
                 ToughnessWitness(cut=frozenset({3, 5, 6}), independent=frozenset({0, 1, 2, 4, 7})),
             ),
+            (
+                "Es]O", 1, 3, 0,
+                ("rule1", "rule8"),
+                ForbiddenInduced(edge=(5, 3), independent=frozenset({2})),
+            ),
+            (
+                "JeVn^i^OYi?", 2, 6, 3,
+                ("rule1",) * 6 + ("rule5",),
+                ForbiddenInduced(edge=(0, 6), independent=frozenset({9, 10})),
+            ),
+            (
+                "JZrQkaCv}I_", 2, 0, 10,
+                ("rule1",) * 6 + ("rule7",),
+                ForbiddenInduced(edge=(7, 10), independent=frozenset({2, 6})),
+            ),
         ],
         ids=[
             "rule6-on-hypothesis",
@@ -315,6 +339,9 @@ class TestDeepRules:
             "rule8-two-neighbour-absorption",
             "rule8-witness",
             "rule9",
+            "rule8-odd-position-witness",
+            "rule5-scan-hit-witness",
+            "rule7-witness-k2",
         ],
     )
     def test_trace_and_outcome(self, word, k, u, v, trace, outcome):

@@ -185,6 +185,17 @@ class TestFamilies:
         with pytest.raises(GraphInputError):
             parse_family("bipartite:-1,3")
 
+    @pytest.mark.parametrize(
+        "text", ["cycle:63", "bipartite:40,40", "gnp:63,1/2", "complete:1000000000"]
+    )
+    def test_parse_family_refuses_past_the_ceiling(self, text):
+        # refused from the spec alone, before any graph is built
+        with pytest.raises(CapacityError, match="exceeds the ceiling of 62"):
+            parse_family(text)
+
+    def test_parse_family_accepts_the_ceiling(self):
+        assert parse_family("cycle:62").n == parse_family("bipartite:31,31").n == 62
+
     def test_generate_matches_constructors(self):
         assert next(generate(parse_family("cycle:6"))).adj == cycle_graph(6).adj
         assert next(generate(parse_family("path:4"))).adj == path_graph(4).adj

@@ -241,9 +241,7 @@ class TestViolations:
     def test_accepted_certificate_on_a_satisfying_graph(self, monkeypatch):
         cut = SmallCut(cut=frozenset())
         monkeypatch.setattr(sweep, "extract", _on_k4_pair_1_2(sweep.extract, cut))
-        monkeypatch.setattr(
-            sweep, "validate_outcome", lambda G, k, u, v, outcome: ValidationReport(outcome.kind, True)
-        )
+        monkeypatch.setattr(sweep, "validate_outcome", lambda G, k, u, v, outcome: ValidationReport())
         summary = run_sweep(K4_ONLY)
         assert summary.violations == [
             f"certificate small_cut on hypothesis-satisfying graph {K4_WORD} k=1 pair=(1,2)"
