@@ -41,11 +41,13 @@ class OrientedPath:
 
     seq: tuple[int, ...]
     pos: dict[int, int] = field(init=False, compare=False, repr=False)
+    mask: int = field(init=False, compare=False, repr=False)  # the path's vertex set
 
     def __post_init__(self):
         object.__setattr__(self, "pos", {w: i for i, w in enumerate(self.seq)})
         if len(self.pos) != len(self.seq):
             raise EngineError(f"repeated vertex in path {self.seq}")
+        object.__setattr__(self, "mask", mask_of(self.seq))
 
     @property
     def first(self) -> int:
@@ -67,17 +69,15 @@ class OrientedPath:
     def pred(self, w: int) -> int:
         return self.seq[self.pos[w] - 1]
 
-    def vertex_mask(self) -> int:
-        return mask_of(self.seq)
-
     def reversed(self) -> "OrientedPath":
         return OrientedPath(tuple(reversed(self.seq)))
 
     def validate(self, G: Graph) -> None:
         if len(self.seq) < 1:
             raise EngineError("empty path")
+        adj = G.adj
         for a, b in zip(self.seq, self.seq[1:]):
-            if not G.has_edge(a, b):
+            if not adj[a] >> b & 1:
                 raise EngineError(f"path uses missing edge {a}-{b}")
 
 
@@ -118,7 +118,7 @@ def _checked(G: Graph, P: OrientedPath, new: list[int], splice: str) -> Oriented
         problem = "moved the endpoints"
     elif len(result) <= len(P):
         problem = "did not lengthen the path"
-    elif P.vertex_mask() & ~result.vertex_mask():
+    elif P.mask & ~result.mask:
         problem = "dropped a path vertex"
     else:
         return result
@@ -215,9 +215,30 @@ def outside_two_neighbors(
 # --- path structure ---------------------------------------------------------
 
 
-def _neighbors(G: Graph, P: OrientedPath, comp_mask: int) -> tuple[int, ...]:
-    """The path vertices x_1..x_t that see the component, in path order."""
-    return tuple(w for w in P.seq if G.adj[w] & comp_mask)
+def _positions(G: Graph, P: OrientedPath, comp_mask: int) -> int:
+    """The path positions of the vertices x_1..x_t that see the component,
+    as a bitmask: bit i is set when ``P.seq[i]`` has a neighbor in it."""
+    adj = G.adj
+    at = 0
+    # walk the shorter of the two: the path, testing each vertex against a
+    # large component, or a small component's vertices for their neighbors
+    if comp_mask.bit_count() >= len(P.seq):
+        for i, w in enumerate(P.seq):
+            if adj[w] & comp_mask:
+                at |= 1 << i
+        return at
+    seen = 0
+    while comp_mask:
+        low = comp_mask & -comp_mask
+        seen |= adj[low.bit_length() - 1]
+        comp_mask ^= low
+    seen &= P.mask
+    pos = P.pos
+    while seen:
+        low = seen & -seen
+        at |= 1 << pos[low.bit_length() - 1]
+        seen ^= low
+    return at
 
 
 def _successors(P: OrientedPath, nbrs: tuple[int, ...]) -> tuple[int, ...]:
@@ -249,6 +270,9 @@ def _path_through_component(G: Graph, comp_mask: int, a: int, b: int) -> tuple[i
     targets = G.adj[b] & comp_mask
     if not sources or not targets:
         raise EngineError("component path requested without anchors")
+    shared = sources & targets
+    if shared:  # the search's first layer: the lowest common neighbor
+        return ((shared & -shared).bit_length() - 1,)
     parent: dict[int, int] = {s: -1 for s in bits(sources)}
     frontier = sorted(parent)
     goal = None
@@ -446,7 +470,7 @@ def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int, nbrs: tuple[int,
 
     # rule 8: outside vertices must avoid the successor set and S'
     plus_mask, s_mask = mask_of(plus), mask_of(s_prime)
-    for y in bits(G.full_mask & ~P.vertex_mask() & ~(1 << x)):
+    for y in bits(G.full_mask & ~P.mask & ~(1 << x)):
         plus_hits = sorted(bits(G.adj[y] & plus_mask), key=P.position)
         if len(plus_hits) >= 2:
             xp, xq = (P.pred(w) for w in plus_hits[:2])
@@ -462,7 +486,7 @@ def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int, nbrs: tuple[int,
     # rule 9: the toughness endgame. Rules 4, 7 and 8 leave the witness set
     # independent, and rule 6's odd segments make it no smaller than the cut
     s_star = frozenset(P.seq) - s_prime
-    witness_set = frozenset(bits(G.full_mask & ~P.vertex_mask())) | s_prime
+    witness_set = frozenset(bits(G.full_mask & ~P.mask)) | s_prime
     return "rule9", ToughnessWitness(cut=s_star, independent=witness_set)
 
 
@@ -478,18 +502,23 @@ def _independent_violation(G: Graph, vertices) -> tuple[int, int] | None:
 
 def extend_or_certify(G: Graph, k: int, P: OrientedPath) -> Step:
     """One step: apply the first applicable rule of the fixed cascade."""
-    off = G.full_mask & ~P.vertex_mask()
+    off = G.full_mask & ~P.mask
     if not off:
         return "done", HamiltonPath(path=P.seq)
-    # each off-path component with its path neighbors, scanned once
-    comps = [(comp, _neighbors(G, P, comp)) for comp in components_masks(G.adj, off)]
-
-    # rule 1: consecutive neighbors of any component admit a splice
-    for comp, nbrs in comps:
-        for a, b in zip(nbrs, nbrs[1:]):
-            if P.position(b) == P.position(a) + 1:
-                interior = _path_through_component(G, comp, a, b)
-                return "rule1", insert_at_consecutive(G, P, a, interior)
+    # rule 1: consecutive neighbors of any component admit a splice; the
+    # lowest bit of at & (at >> 1) is the first such pair in path order
+    scanned = []
+    for comp in components_masks(G.adj, off):
+        at = _positions(G, P, comp)
+        pair = at & (at >> 1)
+        if pair:
+            i = (pair & -pair).bit_length() - 1
+            a, b = P.seq[i], P.seq[i + 1]
+            interior = _path_through_component(G, comp, a, b)
+            return "rule1", insert_at_consecutive(G, P, a, interior)
+        scanned.append((comp, at))
+    # each off-path component with its path neighbors x_1..x_t, in path order
+    comps = [(comp, tuple(P.seq[i] for i in bits(at))) for comp, at in scanned]
 
     # rule 2: adjacent successors admit a detour through the component
     for comp, nbrs in comps:
@@ -534,6 +563,17 @@ class ExtractionResult:
     def extended_steps(self) -> int:
         # every trace entry but the terminal one lengthened the path
         return max(0, len(self.trace) - 1)
+
+    @property
+    def k_free(self) -> bool:
+        """True when every step was rule 1 or rule 2 and the trace ends in
+        ``done`` or ``disconnected``: then ``extract`` gives this same
+        result for every k. ``is_connected``, ``initial_path`` and rules
+        1-2 never read k, and the cascade tries rules 1 and 2 on every
+        component before rule 3, so each step, and the final Hamilton path
+        or empty cut, is the same whatever k is."""
+        steps, end = self.trace[:-1], self.trace[-1:]
+        return end in (("done",), ("disconnected",)) and set(steps) <= {"rule1", "rule2"}
 
 
 def extract(G: Graph, k: int, u: int, v: int) -> ExtractionResult:

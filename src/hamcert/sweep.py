@@ -8,6 +8,10 @@ early-exit threshold mode: it stops as soon as the verdict for every k
 is decided, which keeps exhaustive 7-vertex runs tractable on one core.
 The two modes agree by construction, because both read connectivity and
 toughness off the one kernel; the tests compare them all the same.
+
+A pair whose extraction used only rules 1-2 (``ExtractionResult.k_free``)
+is extracted once per graph: the result holds for every k, so later ks
+reuse it, and it is validated for every k all the same.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from random import Random
 from typing import Callable, Iterator, Sequence
 
 from .certify import validate_outcome
-from .engine import extract
+from .engine import ExtractionResult, extract
 from .errors import CapacityError, EngineError, GraphInputError
 from .graph import (
     EXHAUSTIVE_CEILING,
@@ -193,6 +197,7 @@ def process_task(task: tuple, cfg: SweepConfig) -> tuple[list[dict], dict]:
     outcomes: dict[str, int] = {}
     failures = overshoot = 0
     found: list[tuple[str, str]] = []  # each violation's text before and after the graph6 word
+    reusable: dict[tuple[int, int], ExtractionResult] = {}  # k-free results, good for every k
 
     for k in cfg.ks:
         is2k, free, tough_gt1 = hyp[k]
@@ -204,11 +209,15 @@ def process_task(task: tuple, cfg: SweepConfig) -> tuple[list[dict], dict]:
         valid = paths = 0  # accepted outcomes, and the Hamilton paths among them
         for (u, v) in pairs:
             where = f"k={k} pair=({u},{v})"
-            try:
-                res = extract(G, k, u, v)
-            except EngineError as exc:
-                found.append(("engine error on", f"{where}: {exc}"))
-                continue
+            res = reusable.get((u, v))
+            if res is None:
+                try:
+                    res = extract(G, k, u, v)
+                except EngineError as exc:
+                    found.append(("engine error on", f"{where}: {exc}"))
+                    continue
+                if res.k_free:
+                    reusable[(u, v)] = res
             kind = res.outcome.kind
             tally[kind] = tally.get(kind, 0) + 1
             outcomes[kind] = outcomes.get(kind, 0) + 1

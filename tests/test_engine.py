@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hamcert import (
     ForbiddenInduced,
@@ -22,6 +24,7 @@ from hamcert import (
 from hamcert import engine
 from hamcert.engine import (
     EngineError,
+    ExtractionResult,
     OrientedPath,
     extend_or_certify,
     initial_path,
@@ -142,6 +145,72 @@ class TestRotations:
         G = complete_graph(4)
         with pytest.raises(EngineError, match=problem):
             insert_at_consecutive(G, OrientedPath((0, 1, 2)), after, interior)
+
+
+class TestRuleOneChoice:
+    """Rule 1 splices through the off-path component with the lowest vertex,
+    at the first pair of its consecutive path neighbors in path order."""
+
+    def test_lowest_component_and_first_pair_in_path_order(self):
+        # component {6} sees the consecutive pairs (5, 4) and (2, 1);
+        # component {7} sees (0, 5), earlier on the path but a higher vertex
+        P = OrientedPath((0, 5, 4, 3, 2, 1))
+        G = _union_graph(8, P.seq, (5, 6, 4), (2, 6, 1), (0, 7, 5))
+        rule, step = extend_or_certify(G, 1, P)
+        assert (rule, step) == ("rule1", OrientedPath((0, 5, 6, 4, 3, 2, 1)))
+
+    def test_splice_through_the_lowest_shared_neighbor(self):
+        # the anchors 0 and 1 share the component neighbors 4 and 5; 3 sees only 0
+        P = OrientedPath((0, 1, 2))
+        G = _union_graph(6, P.seq, (0, 3, 4, 5), (0, 4, 1), (0, 5, 1))
+        assert engine._path_through_component(G, mask_of((3, 4, 5)), 0, 1) == (4,)
+        rule, step = extend_or_certify(G, 1, P)
+        assert (rule, step) == ("rule1", OrientedPath((0, 4, 1, 2)))
+
+    def test_splice_through_a_longer_component_path(self):
+        P = OrientedPath((0, 1, 2))
+        G = _union_graph(6, P.seq, (0, 3, 4, 5, 1))
+        assert engine._path_through_component(G, mask_of((3, 4, 5)), 0, 1) == (3, 4, 5)
+
+
+@st.composite
+def _extractions(draw):
+    """A graph on 3-9 vertices, a pair of distinct vertices and a k."""
+    n = draw(st.integers(3, 9))
+    G = graph_from_code(n, draw(st.integers(0, (1 << n * (n - 1) // 2) - 1)))
+    u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    return G, draw(st.integers(1, 4)), u, v
+
+
+class TestKFree:
+    """A result reached by rules 1-2 alone holds for every k."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_extractions())
+    def test_k_free_result_is_the_same_for_every_k(self, case):
+        G, k, u, v = case
+        res = extract(G, k, u, v)
+        if set(res.trace) & {f"rule{i}" for i in range(3, 10)}:
+            assert not res.k_free
+        if res.k_free:
+            for other in range(1, 5):
+                assert extract(G, other, u, v) == res
+
+    @pytest.mark.parametrize(
+        "trace, k_free",
+        [
+            (("done",), True),
+            (("disconnected",), True),
+            (("rule1", "rule2", "rule1", "done"), True),
+            (("rule1", "rule3"), False),
+            (("rule2", "rule6", "done"), False),
+            (("rule1", "rule7"), False),
+            (("rule1",), False),
+            ((), False),
+        ],
+    )
+    def test_trace_decides(self, trace, k_free):
+        assert ExtractionResult(outcome=SmallCut(cut=frozenset()), trace=trace).k_free is k_free
 
 
 class TestExtract:

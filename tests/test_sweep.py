@@ -310,3 +310,66 @@ class TestPinnedOutput:
         assert summary.satisfying == {1: 27, 2: 23, 3: 1}
         assert summary.outcome_tally == PIN_TALLY
         assert summary.clean
+
+
+def _merged(deltas: list[dict]) -> dict:
+    """The single-k deltas of one graph, in k order, as one delta."""
+    out = {"satisfying": {}, "tally": {}, "validation_failures": 0, "violations": [], "max_overshoot": 0}
+    for d in deltas:
+        out["satisfying"].update(d["satisfying"])
+        for kind, c in d["tally"].items():
+            out["tally"][kind] = out["tally"].get(kind, 0) + c
+        out["validation_failures"] += d["validation_failures"]
+        out["violations"] += d["violations"]
+        out["max_overshoot"] = max(out["max_overshoot"], d["max_overshoot"])
+    return out
+
+
+class TestKFreeReuse:
+    """A pair whose extraction used only rules 1-2 is extracted once per
+    graph and validated for every k; the output is that of one run per k."""
+
+    @pytest.mark.parametrize(
+        "task, policy, extractions",
+        [
+            # gnp:10,7/8 at seed 3, sample 5: satisfies k = 1, 2, 3, so
+            # all 45 pairs are attempted for each k, and each is k-free
+            ((5, "gnp", 10, 7, 8, 3, 5), ("sample", 2), 45),
+            # a sparse graph: certificates, which read k, are not reused
+            ((2, "gnp", 9, 1, 2, 4, 2), ("all", 0), None),
+        ],
+        ids=["dense-satisfying", "sparse-all-pairs"],
+    )
+    def test_same_output_as_one_run_per_k(self, task, policy, extractions, monkeypatch):
+        cfg = SweepConfig(families=(), ks=(1, 2, 3), pair_policy=policy)
+        calls = []
+        real = sweep.extract
+        monkeypatch.setattr(sweep, "extract", lambda G, k, u, v: calls.append(k) or real(G, k, u, v))
+        records, delta = sweep.process_task(task, cfg)
+        reused = len(calls)
+        calls.clear()
+        singles = [sweep.process_task(task, replace(cfg, ks=(k,))) for k in cfg.ks]
+        separate = len(calls)
+        single_records = [rec for recs, _ in singles for rec in recs]
+        for rec in records + single_records:
+            del rec["elapsed_ms"]
+        assert records == single_records
+        assert delta == _merged([d for _, d in singles])
+        attempted = sum(rec["pairs_attempted"] for rec in records)
+        assert separate == attempted and reused < attempted
+        if extractions is not None:
+            assert delta["satisfying"] == {1: 1, 2: 1, 3: 1} and attempted == 3 * 45
+            assert reused == extractions
+
+    def test_a_result_that_reads_k_is_not_reused(self, monkeypatch):
+        calls = []
+
+        def extract(G, k, u, v):
+            calls.append((k, u, v))
+            return ExtractionResult(outcome=SmallCut(cut=frozenset({0})), trace=("rule1", "rule3"))
+
+        monkeypatch.setattr(sweep, "extract", extract)
+        monkeypatch.setattr(sweep, "validate_outcome", lambda G, k, u, v, outcome: ValidationReport())
+        cfg = replace(K4_ONLY, ks=(1, 2), pair_policy=("all", 0))
+        sweep.process_task((0, "graph", 4, complete_graph(4).adj), cfg)
+        assert calls == [(k, u, v) for k in (1, 2) for u in range(4) for v in range(u + 1, 4)]
