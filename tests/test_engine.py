@@ -41,6 +41,28 @@ def _union_graph(n: int, *seqs: tuple[int, ...]):
     return build_graph(n, sorted({tuple(sorted(e)) for s in seqs for e in zip(s, s[1:])}))
 
 
+def _simple_paths(G, u: int, v: int):
+    """Every simple (u,v)-path of G, by exhaustive depth-first search."""
+    stack = [(u,)]
+    while stack:
+        p = stack.pop()
+        if p[-1] == v:
+            yield p
+            continue
+        stack.extend(p + (w,) for w in G.neighbors(p[-1]) if w not in p)
+
+
+@st.composite
+def _connected_graphs(draw):
+    """A connected graph on 2-8 vertices: a random spanning tree plus a
+    few chords, sparse enough that shortest paths often tie."""
+    n = draw(st.integers(2, 8))
+    order = draw(st.permutations(range(n)))
+    edges = [(order[draw(st.integers(0, i - 1))], order[i]) for i in range(1, n)]
+    edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+    return build_graph(n, [(a, b) for a, b in edges if a != b])
+
+
 class TestOrientedPath:
     def test_navigation(self):
         P = OrientedPath((3, 1, 4, 0))
@@ -64,8 +86,23 @@ class TestOrientedPath:
     def test_initial_path_is_shortest(self):
         G = cycle_graph(6)
         assert initial_path(G, 0, 2).seq == (0, 1, 2)
+        # the 6-cycle 0-4-2-3-1-5-0: both (0,4,2,3) and (0,5,1,3) are
+        # shortest, and the start path is the one least read from u
+        G = build_graph(6, [(0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)])
+        assert initial_path(G, 0, 3).seq == (0, 4, 2, 3)
         with pytest.raises(GraphInputError):
             initial_path(build_graph(4, [(0, 1), (2, 3)]), 0, 2)
+        with pytest.raises(GraphInputError):
+            initial_path(G, 2, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_connected_graphs())
+    def test_initial_path_is_the_least_shortest_path(self, G):
+        for u in range(G.n):
+            for v in range(G.n):
+                if u != v:
+                    least = min(_simple_paths(G, u, v), key=lambda p: (len(p), p))
+                    assert initial_path(G, u, v).seq == least
 
 
 class TestRotations:
