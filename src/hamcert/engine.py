@@ -8,6 +8,8 @@ machine-checkable certificate that one of the three hypotheses
 pattern, toughness > 1) fails. Only rule 7, and only for k >= 2, can
 do neither. That step is reported as ``Stalled`` under rule 7's name
 and never rescued; on a graph meeting all three hypotheses it is a bug.
+A constructed start path reaches the stall on a graph that fails the
+hypotheses; no stall has been seen from ``extract``'s own start path.
 
 Every rotation is a splice that rebuilds the path from segments of
 itself, some reversed, plus off-path vertices, and passes one check
@@ -82,25 +84,18 @@ class OrientedPath:
 
 
 def initial_path(G: Graph, u: int, v: int) -> OrientedPath:
-    """Shortest (u,v)-path by breadth-first search, lowest-index first."""
+    """The lexicographically least shortest (u,v)-path. The layer search
+    runs from v, so each step from u takes the lowest vertex that is still
+    on a shortest path to v."""
     if u == v:
         raise GraphInputError("endpoints must be distinct")
-    parent = {u: -1}
-    frontier = [u]
-    while frontier and v not in parent:
-        nxt = []
-        for a in frontier:
-            for b in bits(G.adj[a]):
-                if b not in parent:
-                    parent[b] = a
-                    nxt.append(b)
-        frontier = nxt
-    if v not in parent:
-        raise GraphInputError(f"vertices {u} and {v} are disconnected")
-    seq = [v]
-    while seq[-1] != u:
-        seq.append(parent[seq[-1]])
-    return OrientedPath(tuple(reversed(seq)))
+    if G.has_edge(u, v):
+        return OrientedPath((u, v))
+    try:
+        interior = _path_through_component(G, G.full_mask & ~(1 << u | 1 << v), v, u)
+    except EngineError:
+        raise GraphInputError(f"vertices {u} and {v} are disconnected") from None
+    return OrientedPath((u, *reversed(interior), v))
 
 
 # --- rotations --------------------------------------------------------------
@@ -251,10 +246,11 @@ def _odd_sets(segs: tuple[tuple[int, ...], ...]) -> frozenset[int]:
 
 
 def _path_through_component(G: Graph, comp_mask: int, a: int, b: int) -> tuple[int, ...]:
-    """Shortest path interior inside the component joining a neighbor of
-    a to a neighbor of b (a, b are path vertices seeing the component).
-    The search runs one layer at a time; ties go to the lowest target in
-    the first layer that meets the targets, then back through the lowest
+    """Shortest path interior inside ``comp_mask`` joining a neighbor of a
+    to a neighbor of b: an off-path component and two path vertices that
+    see it, or every vertex but the start path's endpoints b, a. The
+    search runs one layer at a time; ties go to the lowest target in the
+    first layer that meets the targets, then back through the lowest
     neighbor in each earlier layer."""
     adj = G.adj
     frontier = adj[a] & comp_mask
@@ -563,8 +559,9 @@ class ExtractionResult:
 
 
 def extract(G: Graph, k: int, u: int, v: int) -> ExtractionResult:
-    """Loop extend_or_certify from a shortest (u,v)-path until a Hamilton
-    path or a certificate emerges; deterministic, at most n steps."""
+    """Loop extend_or_certify from the lexicographically least shortest
+    (u,v)-path until a Hamilton path or a certificate emerges;
+    deterministic, at most n steps."""
     if k < 1:
         raise GraphInputError("k must be at least 1")
     if G.n < 3:
