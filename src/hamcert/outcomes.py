@@ -48,7 +48,8 @@ class ToughnessWitness:
 @dataclass(frozen=True)
 class Stalled:
     """Rule 7 could neither extend nor certify: possible only for
-    k >= 2 and only off the hypotheses."""
+    k >= 2 and only off the hypotheses. A constructed start path reaches
+    it; no stall has been seen from ``extract``'s own start path."""
 
     kind = "stalled"
     diagnostic: str
@@ -98,7 +99,8 @@ def _json_ints(d: dict, name: str) -> list[int]:
 
 def outcome_from_dict(d: dict) -> tuple[Outcome, int, int, int]:
     """Inverse of outcome_to_dict; returns (outcome, k, u, v). Every number
-    must be a JSON integer; anything else raises GraphInputError."""
+    must be a JSON integer and a diagnostic a JSON string; anything else
+    raises GraphInputError."""
     if not isinstance(d, dict):
         raise GraphInputError("malformed outcome record: not a JSON object")
     try:
@@ -118,7 +120,10 @@ def outcome_from_dict(d: dict) -> tuple[Outcome, int, int, int]:
             cut = frozenset(_json_ints(d, "cut"))
             return ToughnessWitness(cut, frozenset(_json_ints(d, "independent"))), k, u, v
         if kind == "stalled":
-            return Stalled(str(d.get("diagnostic", ""))), k, u, v
+            diagnostic = d["diagnostic"]
+            if not isinstance(diagnostic, str):
+                raise GraphInputError("malformed outcome record: diagnostic needs a string")
+            return Stalled(diagnostic), k, u, v
     except KeyError as exc:
         raise GraphInputError(f"malformed outcome record: missing {exc}") from exc
     raise GraphInputError(f"unknown outcome kind {kind!r}")

@@ -267,6 +267,8 @@ class TestSerialization:
             {"kind": "forbidden_induced", "edge": [0, 1], "independent": [False]},
             {"kind": "toughness_witness", "cut": [0], "independent": [1.5]},
             {"kind": "stalled", "k": 1.0},
+            {"kind": "stalled", "diagnostic": [1]},
+            {"kind": "stalled"},
         ],
     )
     def test_numbers_must_be_json_integers(self, fields):

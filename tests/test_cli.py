@@ -287,6 +287,14 @@ class TestValidateCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_stalled_record_without_a_string_diagnostic_exits_2(self, capsys, monkeypatch):
+        record = '{"kind":"stalled","k":1,"u":0,"v":1,"diagnostic":[1]}\n'
+        monkeypatch.setattr("sys.stdin", io.StringIO(record))
+        code, out, err = run_cli(capsys, "validate", "--family", "cycle:5", "--outcome", "-")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "diagnostic needs a string" in err
+
     def test_claim_about_no_pair_of_the_graph_is_rejected(self, capsys, monkeypatch):
         record = '{"kind":"small_cut","k":2,"u":99,"v":99,"cut":[0,2]}\n'
         monkeypatch.setattr("sys.stdin", io.StringIO(record))

@@ -15,6 +15,7 @@ from hamcert import (
     cycle_graph,
     exhaustive_graphs,
     extract,
+    find_induced_p2_plus_kp1,
     graph_from_code,
     hamilton_path_between,
     hypothesis_check,
@@ -382,6 +383,25 @@ class TestExtract:
         assert isinstance(res.outcome, Stalled)
         assert res.trace == ("rule1", "rule7")
         assert not validate_outcome(G, 1, 2, 3, res.outcome).accepted
+
+    def test_rule7_stalls_from_a_constructed_start_path(self):
+        """A real stall, off-hypothesis. x = 19 sees 4, 8, 12 and 16. The
+        edge z-w = 0-1 joins the head's odd position 3, counted back from
+        4, to the tail's, counted on from 16. z sees every successor and w
+        every predecessor, so of {x} | N+ | N- only x avoids the edge, one
+        vertex short of k = 2. The graph's forbidden pattern lies outside
+        that pool, and its minimum degree 3 is below 2k."""
+        G = parse_graph6("SrEGJC@_gGk@?@_a_aJ?@??EAGiGaGPCO")
+        P = OrientedPath((0, *range(2, 19), 1))
+        assert G.full_mask & ~P.mask == 1 << 19
+        assert extend_or_certify(G, 2, P) == ("rule7", Stalled(
+            "edge 0-1 inside the odd-position set, "
+            "but no independent witness set of the required size"
+        ))
+        assert find_induced_p2_plus_kp1(G, 2) == ForbiddenInduced(
+            edge=(0, 1), independent=frozenset({4, 6})
+        )
+        assert min(G.degree(w) for w in range(G.n)) == 3
 
     def test_rule8_witness_is_guaranteed(self, monkeypatch):
         """Rule 8 has no stall: once rule 7 has passed, a witness always
