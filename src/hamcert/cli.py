@@ -17,12 +17,7 @@ from .engine import extract
 from .errors import CapacityError, GraphInputError
 from .graph import Graph, complete_bipartite, generate, gnp_graph, parse_family
 from .graph6 import parse_graph6, read_graph6_lines, write_graph6
-from .invariants import (
-    cut_scan,
-    find_induced_p2_plus_kp1,
-    hypothesis_check,
-    is_hamiltonian_connected,
-)
+from .invariants import hypothesis_check, is_hamiltonian_connected
 from .outcomes import outcome_from_json, outcome_to_json
 from .sweep import SweepConfig, parse_pair_policy, run_sweep
 
@@ -161,8 +156,8 @@ def tightness_report(n: int) -> dict:
     half = n // 2
     k = n // 4
     G = complete_bipartite(half, half)
-    kappa, tough = cut_scan(G)
-    free = find_induced_p2_plus_kp1(G, k) is None
+    hyp = hypothesis_check(G, k)
+    kappa, tough = hyp.connectivity, hyp.toughness
     hc = is_hamiltonian_connected(G)
     res = extract(G, k, 0, 1)  # vertices 0 and 1 share a part
     valid = validate_outcome(G, k, 0, 1, res.outcome)
@@ -177,7 +172,7 @@ def tightness_report(n: int) -> dict:
         "kappa_ok": kappa == half,
         "toughness": tough.describe(),
         "toughness_ok": (not tough.is_infinite) and tough.value == Fraction(1),
-        "forbidden_free": free,
+        "forbidden_free": hyp.forbidden_free,
         "hamiltonian_connected": hc.is_hamiltonian_connected,
         "failing_pair": hc.failing_pair,
         "outcome_kind": res.outcome.kind,
