@@ -221,6 +221,13 @@ class TestRuleOneChoice:
         comp = mask_of(w for r in routes for w in r[1:-1])
         assert engine._path_through_component(G, comp, 0, 1) == interior
 
+    @pytest.mark.parametrize("comp, message", [((3,), "without anchors"), ((3, 4), "exhausted")])
+    def test_failed_search_is_an_engine_error(self, comp, message):
+        # 3 sees only 0 and 4 sees only 1, so no path inside {3, 4} joins them
+        G = _union_graph(5, (0, 1, 2), (0, 3), (1, 4))
+        with pytest.raises(EngineError, match=message):
+            engine._path_through_component(G, mask_of(comp), 0, 1)
+
 
 @st.composite
 def _extractions(draw):
