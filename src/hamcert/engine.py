@@ -248,7 +248,7 @@ def _odd_sets(segs: tuple[tuple[int, ...], ...]) -> frozenset[int]:
 def _path_through_component(G: Graph, comp_mask: int, a: int, b: int) -> tuple[int, ...]:
     """Shortest path interior inside ``comp_mask`` joining a neighbor of a
     to a neighbor of b: an off-path component and two path vertices that
-    see it, or every vertex but the start path's endpoints b, a. The
+    see it, or every vertex but the two ends of the start path. The
     search runs one layer at a time; ties go to the lowest target in the
     first layer that meets the targets, then back through the lowest
     neighbor in each earlier layer."""
