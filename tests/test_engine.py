@@ -1,3 +1,7 @@
+import hashlib
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -16,9 +20,11 @@ from hamcert import (
     exhaustive_graphs,
     extract,
     find_induced_p2_plus_kp1,
+    gnp_graph,
     graph_from_code,
     hamilton_path_between,
     hypothesis_check,
+    outcome_to_json,
     parse_graph6,
     validate_outcome,
 )
@@ -492,3 +498,39 @@ class TestDeepRules:
         assert res.trace == trace
         assert res.outcome == outcome
         assert validate_outcome(G, k, u, v, res.outcome).accepted
+
+
+def _pin_corpus():
+    """A fixed extraction corpus: every ordered pair at k = 1-3 on 300
+    seeded 6-vertex codes, then 1,500 seeded G(n,p) extractions with n
+    8-62 and p 1/8-3/4, each with a seeded pair and k."""
+    rng = random.Random("hamcert-tests:byte-identity")
+    for code in sorted(rng.sample(range(1 << 15), 300)):
+        G = graph_from_code(6, code)
+        for k in (1, 2, 3):
+            for u in range(6):
+                for v in range(6):
+                    if u != v:
+                        yield G, k, u, v
+    ps = [Fraction(i, 8) for i in range(1, 7)]
+    for i in range(1500):
+        n = rng.randint(8, 62)
+        G = gnp_graph(n, rng.choice(ps), 0, i)
+        u, v = rng.sample(range(n), 2)
+        yield G, rng.randint(1, 3), u, v
+
+
+class TestByteIdentity:
+    """The engine's output on a fixed corpus, pinned as one digest. A
+    change that means to keep every outcome and trace must keep it; one
+    that means to change them must say why and re-pin."""
+
+    def test_corpus_digest(self):
+        h = hashlib.sha256()
+        count = 0
+        for G, k, u, v in _pin_corpus():
+            res = extract(G, k, u, v)
+            h.update(f"{outcome_to_json(res.outcome, k, u, v)}\t{' '.join(res.trace)}\n".encode())
+            count += 1
+        assert count == 300 * 90 + 1500
+        assert h.hexdigest() == "20a8d6edf45d22b5d46b8f75e9e3790c78d86706edf7605f36a1a9a302f7787e"
