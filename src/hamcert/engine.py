@@ -21,6 +21,7 @@ scans established.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import EngineError, GraphInputError
 from .graph import Graph, bits, components_masks, is_connected, mask_of
@@ -39,17 +40,22 @@ from .outcomes import (
 
 @dataclass(frozen=True)
 class OrientedPath:
-    """A simple (u,v)-path with O(1) successor/predecessor navigation."""
+    """A simple (u,v)-path. Successor and predecessor navigation is O(1)
+    after the first lookup, which builds the position table; rule 1
+    never needs it."""
 
     seq: tuple[int, ...]
-    pos: dict[int, int] = field(init=False, compare=False, repr=False)
     mask: int = field(init=False, compare=False, repr=False)  # the path's vertex set
 
     def __post_init__(self):
-        object.__setattr__(self, "pos", {w: i for i, w in enumerate(self.seq)})
-        if len(self.pos) != len(self.seq):
+        mask = mask_of(self.seq)
+        if mask.bit_count() != len(self.seq):
             raise EngineError(f"repeated vertex in path {self.seq}")
-        object.__setattr__(self, "mask", mask_of(self.seq))
+        object.__setattr__(self, "mask", mask)
+
+    @cached_property
+    def pos(self) -> dict[int, int]:
+        return {w: i for i, w in enumerate(self.seq)}
 
     @property
     def first(self) -> int:
@@ -101,7 +107,9 @@ def initial_path(G: Graph, u: int, v: int) -> OrientedPath:
 # --- rotations --------------------------------------------------------------
 
 
-def _checked(G: Graph, P: OrientedPath, new: list[int], splice: str) -> OrientedPath:
+def _checked(
+    G: Graph, P: OrientedPath, new: list[int] | tuple[int, ...], splice: str
+) -> OrientedPath:
     """The spliced path, validated in G, with P's endpoints, strictly
     longer and keeping every vertex of P; any failure names the splice."""
     try:
@@ -125,10 +133,9 @@ def insert_at_consecutive(
 ) -> OrientedPath:
     """Splice a path through the off-path component between two
     consecutive path vertices that both see the component."""
-    seq = list(P.seq)
-    i = P.position(after)
-    new = seq[: i + 1] + list(interior) + seq[i + 1 :]
-    return _checked(G, P, new, "insertion")
+    seq = P.seq
+    i = seq.index(after) + 1
+    return _checked(G, P, seq[:i] + interior + seq[i:], "insertion")
 
 
 def via_component_path(
@@ -208,19 +215,6 @@ def outside_two_neighbors(
 
 
 # --- path structure ---------------------------------------------------------
-
-
-def _positions(G: Graph, P: OrientedPath, comp_mask: int) -> int:
-    """The path positions of the vertices x_1..x_t that see the component,
-    as a bitmask: bit i is set when ``P.seq[i]`` has a neighbor in it.
-    One test per path vertex: walking the component's neighborhood
-    instead measured slower on both engine workloads."""
-    adj = G.adj
-    at = 0
-    for i, w in enumerate(P.seq):
-        if adj[w] & comp_mask:
-            at |= 1 << i
-    return at
 
 
 def _successors(P: OrientedPath, nbrs: tuple[int, ...]) -> tuple[int, ...]:
@@ -487,20 +481,28 @@ def extend_or_certify(G: Graph, k: int, P: OrientedPath) -> Step:
     off = G.full_mask & ~P.mask
     if not off:
         return "done", HamiltonPath(path=P.seq)
-    # rule 1: consecutive neighbors of any component admit a splice; the
-    # lowest bit of at & (at >> 1) is the first such pair in path order
+    # rule 1: consecutive neighbors of any component admit a splice. One
+    # walk along the path per component, in lowest-vertex order, stops at
+    # the first such pair in path order; a component without one leaves
+    # its path positions x_1..x_t as the bitmask at (bit i: P.seq[i] sees it)
+    adj, seq = G.adj, P.seq
     scanned = []
-    for comp in components_masks(G.adj, off):
-        at = _positions(G, P, comp)
-        pair = at & (at >> 1)
-        if pair:
-            i = (pair & -pair).bit_length() - 1
-            a, b = P.seq[i], P.seq[i + 1]
-            interior = _path_through_component(G, comp, a, b)
-            return "rule1", insert_at_consecutive(G, P, a, interior)
+    for comp in components_masks(adj, off):
+        at = 0
+        prev_sees = False
+        for i, w in enumerate(seq):
+            if adj[w] & comp:
+                if prev_sees:
+                    a = seq[i - 1]
+                    interior = _path_through_component(G, comp, a, w)
+                    return "rule1", insert_at_consecutive(G, P, a, interior)
+                at |= 1 << i
+                prev_sees = True
+            else:
+                prev_sees = False
         scanned.append((comp, at))
     # each off-path component with its path neighbors x_1..x_t, in path order
-    comps = [(comp, tuple(P.seq[i] for i in bits(at))) for comp, at in scanned]
+    comps = [(comp, tuple(seq[i] for i in bits(at))) for comp, at in scanned]
 
     # rule 2: adjacent successors admit a detour through the component
     for comp, nbrs in comps:

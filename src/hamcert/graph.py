@@ -103,7 +103,8 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 def components_masks(adj: tuple[int, ...], remaining: int) -> list[int]:
     """Connected components of the subgraph induced on ``remaining``,
     ordered by their lowest vertex. A frontier fill: each vertex is
-    expanded once, adding its neighbors not yet reached. It serves one-off
+    expanded once, adding its neighbors not yet reached, and the fill
+    stops as soon as no vertex is left to reach. It serves one-off
     calls at any n: the engine's off-path components, the validator
     (through ``components_after_removal``), ``is_connected``, Hamilton
     backtracking's pruning and the brute-force connectivity oracle. The
@@ -121,6 +122,8 @@ def components_masks(adj: tuple[int, ...], remaining: int) -> list[int]:
             if new:
                 rem ^= new
                 comp |= new
+                if not rem:  # nothing left to reach: comp is complete
+                    break
                 frontier |= new
         out.append(comp)
     return out

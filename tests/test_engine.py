@@ -70,6 +70,50 @@ def _connected_graphs(draw):
     return build_graph(n, [(a, b) for a, b in edges if a != b])
 
 
+@st.composite
+def _graphs_with_paths(draw):
+    """A connected graph on 3-12 vertices with a simple path of 2 or more
+    vertices drawn first: the path's edges, a random tree that hangs every
+    other vertex on an earlier one, and a few chords."""
+    n = draw(st.integers(3, 12))
+    order = draw(st.permutations(range(n)))
+    length = draw(st.integers(2, n))
+    path = tuple(order[:length])
+    edges = list(zip(path, path[1:]))
+    edges += [(order[draw(st.integers(0, i - 1))], order[i]) for i in range(length, n)]
+    edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    G = build_graph(n, [(a, b) for a, b in edges if a != b])
+    return G, OrientedPath(path), draw(st.integers(1, 3))
+
+
+def _off_path_components(G, path):
+    """The components of G minus the path, each a set, by depth-first
+    search over neighbour lists, in order of their lowest vertex."""
+    left = set(range(G.n)) - set(path)
+    comps = []
+    while left:
+        stack = [min(left)]
+        comp = set(stack)
+        while stack:
+            for w in G.neighbors(stack.pop()):
+                if w in left and w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        left -= comp
+        comps.append(comp)
+    return comps
+
+
+def _distance_inside(G, comp, sources, targets):
+    """Vertices on a shortest path inside comp from sources to targets."""
+    layer, seen, dist = set(sources), set(sources), 1
+    while not layer & targets:
+        layer = {w for z in layer for w in G.neighbors(z) if w in comp and w not in seen}
+        seen |= layer
+        dist += 1
+    return dist
+
+
 class TestOrientedPath:
     def test_navigation(self):
         P = OrientedPath((3, 1, 4, 0))
@@ -190,6 +234,11 @@ class TestRotations:
         with pytest.raises(EngineError, match=problem):
             insert_at_consecutive(G, OrientedPath((0, 1, 2)), after, interior)
 
+    def test_rotation_check_catches_a_dropped_vertex(self):
+        # longer, same endpoints, every edge present, but 1 is gone
+        with pytest.raises(EngineError, match="probe dropped a path vertex"):
+            engine._checked(complete_graph(5), OrientedPath((0, 1, 2)), [0, 3, 4, 2], "probe")
+
 
 class TestRuleOneChoice:
     """Rule 1 splices through the off-path component with the lowest vertex,
@@ -226,6 +275,35 @@ class TestRuleOneChoice:
         G = _union_graph(7, P.seq, *routes)
         comp = mask_of(w for r in routes for w in r[1:-1])
         assert engine._path_through_component(G, comp, 0, 1) == interior
+
+    @settings(max_examples=400, deadline=None)
+    @given(_graphs_with_paths())
+    def test_first_pair_from_any_start_path(self, case):
+        """From an arbitrary simple path: the reference is the lowest-vertex
+        component with two consecutive path neighbours, at its first such
+        pair in path order, found here from each component's neighbour set."""
+        G, P, k = case
+        path = P.seq
+        expected = None
+        for comp in _off_path_components(G, path):
+            seen_by = {a for a in path if any(G.has_edge(a, c) for c in comp)}
+            pairs = [i for i in range(len(path) - 1) if {path[i], path[i + 1]} <= seen_by]
+            if pairs:
+                expected = comp, pairs[0]
+                break
+        rule, step = extend_or_certify(G, k, P)
+        if expected is None:
+            assert rule != "rule1"
+            return
+        comp, i = expected
+        assert rule == "rule1"
+        a, b = path[i], path[i + 1]
+        interior = step.seq[i + 1 : len(step) - (len(path) - i - 1)]
+        assert step.seq == path[: i + 1] + interior + path[i + 1 :]
+        assert set(interior) <= comp
+        near_a = {c for c in comp if G.has_edge(a, c)}
+        near_b = {c for c in comp if G.has_edge(b, c)}
+        assert len(interior) == _distance_inside(G, comp, near_a, near_b)
 
     @pytest.mark.parametrize("comp, message", [((3,), "without anchors"), ((3, 4), "exhausted")])
     def test_failed_search_is_an_engine_error(self, comp, message):
