@@ -484,25 +484,22 @@ def extend_or_certify(G: Graph, k: int, P: OrientedPath) -> Step:
     # rule 1: consecutive neighbors of any component admit a splice. One
     # walk along the path per component, in lowest-vertex order, stops at
     # the first such pair in path order; a component without one leaves
-    # its path positions x_1..x_t as the bitmask at (bit i: P.seq[i] sees it)
-    adj, seq = G.adj, P.seq
-    scanned = []
+    # its path neighbors x_1..x_t, in path order
+    adj = G.adj
+    comps = []
     for comp in components_masks(adj, off):
-        at = 0
-        prev_sees = False
-        for i, w in enumerate(seq):
+        nbrs = []
+        prev = None  # the path vertex before w, when it sees comp
+        for w in P.seq:
             if adj[w] & comp:
-                if prev_sees:
-                    a = seq[i - 1]
-                    interior = _path_through_component(G, comp, a, w)
-                    return "rule1", insert_at_consecutive(G, P, a, interior)
-                at |= 1 << i
-                prev_sees = True
+                if prev is not None:
+                    interior = _path_through_component(G, comp, prev, w)
+                    return "rule1", insert_at_consecutive(G, P, prev, interior)
+                nbrs.append(w)
+                prev = w
             else:
-                prev_sees = False
-        scanned.append((comp, at))
-    # each off-path component with its path neighbors x_1..x_t, in path order
-    comps = [(comp, tuple(seq[i] for i in bits(at))) for comp, at in scanned]
+                prev = None
+        comps.append((comp, tuple(nbrs)))
 
     # rule 2: adjacent successors admit a detour through the component
     for comp, nbrs in comps:
