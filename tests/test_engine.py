@@ -105,7 +105,8 @@ def _off_path_components(G, path):
 
 
 def _distance_inside(G, comp, sources, targets):
-    """Vertices on a shortest path inside comp from sources to targets."""
+    """The number of vertices on a shortest path inside comp from sources
+    to targets."""
     layer, seen, dist = set(sources), set(sources), 1
     while not layer & targets:
         layer = {w for z in layer for w in G.neighbors(z) if w in comp and w not in seen}
