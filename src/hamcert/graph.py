@@ -255,6 +255,8 @@ def parse_family(text: str) -> FamilySpec:
         elif kind == "gnp":
             n_text, p_text = rest.split(",")
             spec = FamilySpec(kind=kind, n=int(n_text), p=Fraction(p_text))
+            if not 0 <= spec.p <= 1:
+                raise GraphInputError("p must lie in [0,1]")
         else:
             raise GraphInputError(f"unknown family {kind!r}")
     except (ValueError, ZeroDivisionError) as exc:

@@ -73,14 +73,14 @@ def _neighbourhood_unions(adj: list[int], first: int, count: int) -> list[int]:
     return table
 
 
-def _scan_cuts(G: Graph, kappa_cap: int, exact: bool) -> tuple[int, int, int, int, int]:
+def _scan_cuts(G: Graph, kappa_cap: int, exact: bool) -> tuple[int, int, int, int]:
     """The one subset-enumeration kernel behind every cut-based oracle.
 
     Visits removal sets S by ascending size, so the first separator gives
-    kappa exactly; returns ``(min(kappa, kappa_cap), num, den, cut, c)``
-    with num/den the least |S|/c(G-S) met, first reached at ``cut``
-    (den = 0: no separator met). Exact mode stops once kappa is known and
-    |S|/(n-|S|), which bounds every later ratio, reaches the best ratio.
+    kappa exactly; returns ``(min(kappa, kappa_cap), num, den, cut)`` with
+    num/den the least |S|/c(G-S) met, first reached at ``cut``: den is
+    c(G-cut), or 0 if no separator was met. Exact mode stops once kappa is
+    known and |S|/(n-|S|), which bounds every later ratio, reaches the best.
     Threshold mode decides only whether toughness <= 1: it stops once kappa
     is settled up to the cap and a cut with |S| <= c(G-S) is met or |S| > n/2.
 
@@ -99,10 +99,10 @@ def _scan_cuts(G: Graph, kappa_cap: int, exact: bool) -> tuple[int, int, int, in
             f"exact cut scan is capped at n={TOUGHNESS_CEILING}, got n={n}"
         )
     if G.is_complete():
-        return min(n - 1, kappa_cap), 0, 0, 0, 0
+        return min(n - 1, kappa_cap), 0, 0, 0
     full = G.full_mask
     kappa = -1
-    num = den = cut = best_c = 0
+    num = den = cut = 0
 
     def settled(size: int) -> bool:
         if kappa < 0 and size < kappa_cap:
@@ -137,10 +137,10 @@ def _scan_cuts(G: Graph, kappa_cap: int, exact: bool) -> tuple[int, int, int, in
                 if kappa < 0:
                     kappa = size
                 if not den or size * den < num * c:
-                    num, den, cut, best_c = size, c, rm, c
+                    num, den, cut = size, c, rm
                     if settled(size):
                         break
-    return (min(kappa, kappa_cap) if kappa >= 0 else kappa_cap), num, den, cut, best_c
+    return (min(kappa, kappa_cap) if kappa >= 0 else kappa_cap), num, den, cut
 
 
 def cut_scan(G: Graph) -> tuple[int, Toughness]:
@@ -149,10 +149,10 @@ def cut_scan(G: Graph) -> tuple[int, Toughness]:
     least ratio the witness has the fewest vertices, then the
     lexicographically first sorted vertex list.
     """
-    kappa, num, den, cut, c = _scan_cuts(G, G.n - 1, exact=True)
+    kappa, num, den, cut = _scan_cuts(G, G.n - 1, exact=True)
     if not den:
         return kappa, Toughness(is_infinite=True)
-    return kappa, Toughness(False, Fraction(num, den), frozenset(bits(cut)), c)
+    return kappa, Toughness(False, Fraction(num, den), frozenset(bits(cut)), den)
 
 
 def toughness(G: Graph) -> Toughness:

@@ -2,12 +2,12 @@
 extraction, validation, and JSONL reporting.
 
 A sweep with an output sink records one line per (graph, k) with exact
-invariant values from ``cut_scan``. Without a sink it runs in a light mode,
-``quick_hypotheses``, which runs the same cut-enumeration kernel in its
-early-exit threshold mode: it stops as soon as the verdict for every k
-is decided, which keeps exhaustive 7-vertex runs tractable on one core.
-The two modes agree by construction, because both read connectivity and
-toughness off the one kernel; the tests compare them all the same.
+invariant values from ``cut_scan``. Without a sink it runs in a light mode:
+``quick_hypotheses`` runs the same cut-enumeration kernel in its early-exit
+threshold mode, which settles kappa only up to 2 max(ks) and only decides
+whether toughness exceeds 1, so exhaustive 7-vertex runs stay tractable.
+Both modes pass kappa and "toughness > 1" to one per-k verdict; light mode
+skips the forbidden-pattern search where that verdict is already no.
 
 A pair whose extraction used only rules 1-2 (``ExtractionResult.k_free``)
 is extracted once per graph: the result holds for every k, so later ks
@@ -141,20 +141,11 @@ def _materialize(task: tuple) -> Graph:
 # --- light-mode hypothesis scan ---------------------------------------------
 
 
-def quick_hypotheses(G: Graph, ks: tuple[int, ...]) -> dict[int, tuple[bool, bool, bool]]:
-    """(is_2k_connected, forbidden_free, toughness_exceeds_one) per k, from
-    the early-exit mode of the cut scan behind ``cut_scan``: kappa is only
-    settled up to 2 max(ks). forbidden_free is None where the verdict does
-    not need it.
-    """
-    kappa, num, den, _, _ = _scan_cuts(G, 2 * max(ks, default=0), exact=False)
-    tough_gt1 = not den or num > den
-    out = {}
-    for k in ks:
-        is2k = kappa >= 2 * k
-        free = find_induced_p2_plus_kp1(G, k) is None if is2k and tough_gt1 else None
-        out[k] = (is2k, free, tough_gt1)
-    return out
+def quick_hypotheses(G: Graph, ks: tuple[int, ...]) -> tuple[int, bool]:
+    """(kappa, toughness > 1) from the early-exit threshold mode of the cut
+    scan behind ``cut_scan``, which settles kappa only up to 2 max(ks)."""
+    kappa, num, den, _ = _scan_cuts(G, 2 * max(ks, default=0), exact=False)
+    return kappa, not den or num > den
 
 
 # --- per-graph processing ---------------------------------------------------
@@ -185,13 +176,9 @@ def process_task(task: tuple, cfg: SweepConfig) -> tuple[list[dict], dict]:
         kappa, tough = cut_scan(G)
         word = write_graph6(G)
         tough_gt1 = tough.is_infinite or tough.value > 1
-        hyp = {
-            k: (kappa >= 2 * k, find_induced_p2_plus_kp1(G, k) is None, tough_gt1)
-            for k in cfg.ks
-        }
     else:
         word = None
-        hyp = quick_hypotheses(G, cfg.ks)
+        kappa, tough_gt1 = quick_hypotheses(G, cfg.ks)
     records: list[dict] = []
     satisfying: dict[int, int] = {}
     outcomes: dict[str, int] = {}
@@ -200,8 +187,10 @@ def process_task(task: tuple, cfg: SweepConfig) -> tuple[list[dict], dict]:
     reusable: dict[tuple[int, int], ExtractionResult] = {}  # k-free results, good for every k
 
     for k in cfg.ks:
-        is2k, free, tough_gt1 = hyp[k]
-        all_hyp = bool(is2k and free and tough_gt1)
+        is2k = kappa >= 2 * k
+        search = cfg.keep_records or (is2k and tough_gt1)  # a record reports freeness
+        free = find_induced_p2_plus_kp1(G, k) is None if search else None
+        all_hyp = is2k and tough_gt1 and free
         if all_hyp:
             satisfying[k] = satisfying.get(k, 0) + 1
         pairs = _select_pairs(n, cfg.pair_policy, cfg.seed, task[0], k, all_hyp)

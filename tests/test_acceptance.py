@@ -341,8 +341,8 @@ def test_criterion_6_corollary_support(capsys):
     for n, p in GNP_POOL:
         for i in range(150):
             G = gnp_graph(n, p, GNP_SEED, i)
-            hyp = quick_hypotheses(G, (2,))
-            if not (hyp[2][0] and hyp[2][2]):
+            kappa, tough_gt1 = quick_hypotheses(G, (2,))
+            if not (kappa >= 4 and tough_gt1):
                 continue  # cheap prefilter before the exact toughness scan
             t = toughness(G)
             if t.is_infinite or t.value >= 2:

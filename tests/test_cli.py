@@ -176,6 +176,16 @@ class TestSweepCommand:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "capped at n=16" in err
 
+    def test_gnp_p_outside_the_unit_interval_exits_2_before_any_record(self, capsys, tmp_path):
+        dest = tmp_path / "f.jsonl"
+        code, out, err = run_cli(
+            capsys, "sweep", "--family", "exhaustive:4", "--family", "gnp:8,3/2", "--seed", "1",
+            "--k", "1", "--output", str(dest),
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "p must lie in [0,1]" in err
+        assert not dest.exists()
+
     def test_input_graph_over_cap_exits_2(self, capsys, tmp_path):
         f = tmp_path / "graphs.g6"
         f.write_text(K44 + "\n" + write_graph6(complete_graph(17)) + "\n")

@@ -495,6 +495,23 @@ class TestExtract:
         )
         assert min(G.degree(w) for w in range(G.n)) == 3
 
+    def test_rule5_rotates_from_a_constructed_start_path(self, monkeypatch):
+        """The parity scan's three-case return, which neither the other
+        tests nor extractions from random start paths were seen to reach.
+        x = 10 sees 0, 4, 6 and 8; besides its path neighbours, w = 3 sees
+        1, 5 and 7, and a = 2 sees 5 and 7. The bases xp = 0, at the anchor
+        0, and xq = 4, after a, give branch C. The graph is off-hypothesis
+        (kappa = 1)."""
+        G = parse_graph6("JjCwHc@?KT?")
+        calls = []
+        real = engine.three_case
+        monkeypatch.setattr(engine, "three_case", lambda *args: calls.append(args[2:4]) or real(*args))
+        assert extend_or_certify(G, 2, OrientedPath(tuple(range(10)))) == (
+            "rule5", OrientedPath((0, 10, 4, 3, 1, 2, 5, 6, 7, 8, 9))
+        )
+        assert calls == [(0, 2)]  # (anchor, a)
+        assert hypothesis_check(G, 2).connectivity == 1
+
     def test_rule8_witness_is_guaranteed(self, monkeypatch):
         """Rule 8 has no stall: once rule 7 has passed, a witness always
         exists, so failing to assemble one is an engine bug."""

@@ -184,6 +184,11 @@ class TestFamilies:
             parse_family("gnp:10")
         with pytest.raises(GraphInputError):
             parse_family("bipartite:-1,3")
+        # p outside [0, 1] is refused from the spec, not at the first sample
+        for text in ("gnp:8,3/2", "gnp:8,-1/2"):
+            with pytest.raises(GraphInputError, match=r"p must lie in \[0,1\]"):
+                parse_family(text)
+        assert parse_family("gnp:8,0").p == 0 and parse_family("gnp:8,1").p == 1
 
     @pytest.mark.parametrize(
         "text", ["cycle:63", "bipartite:40,40", "gnp:63,1/2", "complete:1000000000"]

@@ -18,7 +18,6 @@ from hamcert import (
     complete_graph,
     cut_scan,
     exhaustive_graphs,
-    find_induced_p2_plus_kp1,
     graph_from_code,
     hamilton_path_between,
     parse_family,
@@ -36,16 +35,12 @@ KS_CHOICES = ((1,), (2,), (1, 2, 3), ())
 
 
 def assert_light_matches_exact(G):
-    """quick_hypotheses against the light verdict derived from the exact
-    scan, for every k-tuple in KS_CHOICES."""
+    """quick_hypotheses against kappa, capped at 2 max(ks), and t > 1 from
+    the exact scan, for every k-tuple in KS_CHOICES."""
     kappa, tough = cut_scan(G)
     tough_gt1 = tough.is_infinite or tough.value > 1
     for ks in KS_CHOICES:
-        expected = {}
-        for k in ks:
-            is2k = kappa >= 2 * k
-            free = find_induced_p2_plus_kp1(G, k) is None if is2k and tough_gt1 else None
-            expected[k] = (is2k, free, tough_gt1)
+        expected = (min(kappa, 2 * max(ks, default=0)), tough_gt1)
         assert quick_hypotheses(G, ks) == expected, (G.n, G.adj, ks)
 
 
@@ -62,7 +57,7 @@ class TestQuickHypotheses:
             assert_light_matches_exact(graph_from_code(n, rng.getrandbits(n * (n - 1) // 2)))
 
     def test_empty_ks(self):
-        assert quick_hypotheses(complete_bipartite(3, 3), ()) == {}
+        assert quick_hypotheses(complete_bipartite(3, 3), ()) == (0, False)
 
     def test_capped_before_work(self):
         with pytest.raises(CapacityError):
@@ -305,11 +300,16 @@ class TestPinnedOutput:
         assert summary.max_extension_overshoot == 0
 
     def test_light_mode_agrees(self):
-        summary = run_sweep(replace(PIN_CFG, keep_records=False))
+        light = replace(PIN_CFG, keep_records=False)
+        summary = run_sweep(light)
         assert summary.records == 0
         assert summary.satisfying == {1: 27, 2: 23, 3: 1}
         assert summary.outcome_tally == PIN_TALLY
         assert summary.clean
+        # and graph by graph: both modes return the same summary delta
+        for idx, task in enumerate(sweep._task_stream(PIN_CFG)):
+            task = (idx, *task)
+            assert sweep.process_task(task, light)[1] == sweep.process_task(task, PIN_CFG)[1], task
 
 
 def _merged(deltas: list[dict]) -> dict:
