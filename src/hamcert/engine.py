@@ -128,30 +128,17 @@ def _checked(
     raise EngineError(f"{splice} {problem}: {P.seq} -> {result.seq}")
 
 
-def insert_at_consecutive(
-    G: Graph, P: OrientedPath, after: int, interior: tuple[int, ...]
-) -> OrientedPath:
-    """Splice a path through the off-path component between two
-    consecutive path vertices that both see the component."""
-    seq = P.seq
-    i = seq.index(after) + 1
-    return _checked(G, P, seq[:i] + interior + seq[i:], "insertion")
-
-
 def via_component_path(
-    G: Graph, P: OrientedPath, xi: int, xj: int, interior: tuple[int, ...]
+    G: Graph, P: OrientedPath, xi: int, xj: int,
+    interior: tuple[int, ...], bridge: tuple[int, ...] = (),
 ) -> OrientedPath:
-    """Detour through the component between neighbors xi < xj whose
-    successors are adjacent; the tail is partly reversed."""
-    seq = list(P.seq)
-    pi, pj = P.position(xi), P.position(xj)
-    new = (
-        seq[: pi + 1]
-        + list(interior)
-        + [xj]
-        + list(reversed(seq[pi + 1 : pj]))
-        + seq[pj + 1 :]
-    )
+    """The detour P[..xi] + interior + reversed(P(xi..xj]) + bridge + P(xj..]
+    for xi before xj: rule 1's insertion (xj follows xi), rules 2 and 5's
+    detour, and rule 8's absorption (interior x, bridge y)."""
+    seq = P.seq
+    pi = seq.index(xi)
+    pj = seq.index(xj, pi)
+    new = seq[: pi + 1] + interior + seq[pj:pi:-1] + bridge + seq[pj + 1 :]
     return _checked(G, P, new, "detour")
 
 
@@ -195,23 +182,6 @@ def three_case(
             + seq[pq + 1 :]
         )
     return _checked(G, P, new, "three-case rotation")
-
-
-def outside_two_neighbors(
-    G: Graph, P: OrientedPath, y: int, xp: int, xq: int, x: int
-) -> OrientedPath:
-    """Absorb both the isolated vertex x and an outside vertex y that
-    sees two successor vertices."""
-    seq = list(P.seq)
-    pp, pq = P.position(xp), P.position(xq)
-    new = (
-        seq[: pp + 1]
-        + [x]
-        + list(reversed(seq[pp + 1 : pq + 1]))
-        + [y]
-        + seq[pq + 1 :]
-    )
-    return _checked(G, P, new, "two-neighbour absorption")
 
 
 # --- path structure ---------------------------------------------------------
@@ -404,14 +374,11 @@ def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int, nbrs: tuple[int,
         if hit is not None:
             return "rule5", hit
     if segs[0]:
-        # the reversed path's successors are P's predecessors, unchecked by rule 2
+        # rule 2's detour on the reversed path, whose successors are P's predecessors
         R = P.reversed()
-        bad = _independent_violation(G, minus)
-        if bad is not None:
-            wi, wj = sorted(bad, key=R.position)
-            xi, xj = R.pred(wi), R.pred(wj)
-            return "rule5", via_component_path(G, R, xi, xj, (x,)).reversed()
-        hit = _scan_segment(G, k, R, x, nbrs[0], minus[::-1], segs[0][::-1])
+        hit = _detour(G, R, 1 << x, nbrs[::-1])
+        if hit is None:
+            hit = _scan_segment(G, k, R, x, nbrs[0], minus[::-1], segs[0][::-1])
         if hit is not None:
             return "rule5", hit.reversed() if isinstance(hit, OrientedPath) else hit
 
@@ -450,7 +417,7 @@ def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int, nbrs: tuple[int,
         plus_hits = sorted(bits(G.adj[y] & plus_mask), key=P.position)
         if len(plus_hits) >= 2:
             xp, xq = (P.pred(w) for w in plus_hits[:2])
-            return "rule8", outside_two_neighbors(G, P, y, xp, xq, x)
+            return "rule8", via_component_path(G, P, xp, xq, (x,), (y,))
         if len(plus_hits) == 1:
             return "rule8", _forbidden_or_bug(G, k, (y, plus_hits[0]), [x] + list(plus))
         s_hits = sorted(bits(G.adj[y] & s_mask))
@@ -476,6 +443,18 @@ def _independent_violation(G: Graph, vertices) -> tuple[int, int] | None:
     return None
 
 
+def _detour(G: Graph, P: OrientedPath, comp: int, nbrs: tuple[int, ...]) -> OrientedPath | None:
+    """Rule 2 on a component with path neighbors ``nbrs``: when two of their
+    successors are adjacent, the detour through the component from the
+    first one's predecessor xi to the second's xj, else None."""
+    bad = _independent_violation(G, _successors(P, nbrs))
+    if bad is None:
+        return None
+    wi, wj = sorted(bad, key=P.position)
+    xi, xj = P.pred(wi), P.pred(wj)
+    return via_component_path(G, P, xi, xj, _path_through_component(G, comp, xi, xj))
+
+
 def extend_or_certify(G: Graph, k: int, P: OrientedPath) -> Step:
     """One step: apply the first applicable rule of the fixed cascade."""
     off = G.full_mask & ~P.mask
@@ -494,7 +473,7 @@ def extend_or_certify(G: Graph, k: int, P: OrientedPath) -> Step:
             if adj[w] & comp:
                 if prev is not None:
                     interior = _path_through_component(G, comp, prev, w)
-                    return "rule1", insert_at_consecutive(G, P, prev, interior)
+                    return "rule1", via_component_path(G, P, prev, w, interior)
                 nbrs.append(w)
                 prev = w
             else:
@@ -503,12 +482,9 @@ def extend_or_certify(G: Graph, k: int, P: OrientedPath) -> Step:
 
     # rule 2: adjacent successors admit a detour through the component
     for comp, nbrs in comps:
-        bad = _independent_violation(G, _successors(P, nbrs))
-        if bad is not None:
-            wi, wj = sorted(bad, key=P.position)
-            xi, xj = P.pred(wi), P.pred(wj)
-            interior = _path_through_component(G, comp, xi, xj)
-            return "rule2", via_component_path(G, P, xi, xj, interior)
+        detour = _detour(G, P, comp, nbrs)
+        if detour is not None:
+            return "rule2", detour
 
     # rule 3: a component with few path neighbors is a small cut
     for comp, nbrs in comps:

@@ -242,7 +242,7 @@ def generate(spec: FamilySpec) -> Iterator[Graph]:
 
 def parse_family(text: str) -> FamilySpec:
     """Parse CLI family specs like ``complete:5``, ``bipartite:4,4``, ``gnp:10,1/2``;
-    a spec past ``MAX_VERTICES`` is refused before any graph is built."""
+    a spec with too few vertices or past ``MAX_VERTICES`` is refused before any graph is built."""
     kind, _, rest = text.partition(":")
     try:
         if kind in ("complete", "cycle", "path", "exhaustive"):
@@ -259,6 +259,9 @@ def parse_family(text: str) -> FamilySpec:
                 raise GraphInputError("p must lie in [0,1]")
         else:
             raise GraphInputError(f"unknown family {kind!r}")
+        least = 3 if kind == "cycle" else 1
+        if spec.n < least:
+            raise ValueError(f"n must be at least {least}")
     except (ValueError, ZeroDivisionError) as exc:
         raise GraphInputError(f"bad family spec {text!r}: {exc}") from exc
     if spec.n > MAX_VERTICES:

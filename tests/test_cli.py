@@ -176,14 +176,30 @@ class TestSweepCommand:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "capped at n=16" in err
 
-    def test_gnp_p_outside_the_unit_interval_exits_2_before_any_record(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("gnp:8,3/2", "p must lie in [0,1]"),
+            ("complete:0", "bad family spec 'complete:0'"),
+            ("path:0", "bad family spec 'path:0'"),
+            ("exhaustive:0", "bad family spec 'exhaustive:0'"),
+            ("gnp:0,1/2", "bad family spec 'gnp:0,1/2'"),
+            ("bipartite:0,0", "bad family spec 'bipartite:0,0'"),
+            ("complete:-3", "bad family spec 'complete:-3'"),
+            ("cycle:2", "bad family spec 'cycle:2'"),
+        ],
+        ids=["gnp-p", "complete-0", "path-0", "exhaustive-0", "gnp-0", "bipartite-0-0",
+             "complete-neg", "cycle-2"],
+    )
+    def test_bad_family_spec_exits_2_before_any_record(self, capsys, tmp_path, spec, message):
+        # the good family comes first, so a late refusal would already have written its records
         dest = tmp_path / "f.jsonl"
         code, out, err = run_cli(
-            capsys, "sweep", "--family", "exhaustive:4", "--family", "gnp:8,3/2", "--seed", "1",
+            capsys, "sweep", "--family", "exhaustive:4", "--family", spec, "--seed", "1",
             "--k", "1", "--output", str(dest),
         )
         assert code == 2 and out == ""
-        assert err.count("\n") == 1 and err.startswith("error:") and "p must lie in [0,1]" in err
+        assert err.count("\n") == 1 and err.startswith("error:") and message in err
         assert not dest.exists()
 
     def test_input_graph_over_cap_exits_2(self, capsys, tmp_path):

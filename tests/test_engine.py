@@ -35,8 +35,6 @@ from hamcert.engine import (
     OrientedPath,
     extend_or_certify,
     initial_path,
-    insert_at_consecutive,
-    outside_two_neighbors,
     three_case,
     via_component_path,
 )
@@ -161,7 +159,7 @@ class TestRotations:
     def test_insert_at_consecutive(self):
         G = build_graph(4, [(0, 1), (1, 2), (0, 3), (3, 1)])
         P = OrientedPath((0, 1, 2))
-        out = insert_at_consecutive(G, P, 0, (3,))
+        out = via_component_path(G, P, 0, 1, (3,))
         assert out.seq == (0, 3, 1, 2)
 
     def test_via_component_path(self):
@@ -212,28 +210,28 @@ class TestRotations:
         G = build_graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5),
                             (1, 6), (3, 6), (2, 7), (4, 7)])
         P = OrientedPath((0, 1, 2, 3, 4, 5))
-        out = outside_two_neighbors(G, P, 7, 1, 3, 6)
+        out = via_component_path(G, P, 1, 3, (6,), (7,))
         assert out.seq == (0, 1, 6, 3, 2, 7, 4, 5)
 
     def test_rotation_rejects_invalid(self):
         G = build_graph(4, [(0, 1), (1, 2)])
         P = OrientedPath((0, 1, 2))
-        with pytest.raises(EngineError, match="insertion"):
-            insert_at_consecutive(G, P, 0, (3,))
+        with pytest.raises(EngineError, match="detour"):
+            via_component_path(G, P, 0, 1, (3,))
 
     @pytest.mark.parametrize(
-        "after, interior, problem",
+        "xi, xj, interior, problem",
         [
-            (2, (3,), "insertion moved the endpoints"),
-            (0, (), "insertion did not lengthen the path"),
-            (0, (1,), "insertion: repeated vertex"),
+            (0, 2, (3,), "detour moved the endpoints"),
+            (0, 1, (), "detour did not lengthen the path"),
+            (0, 1, (1,), "detour: repeated vertex"),
         ],
         ids=["endpoints", "length", "repeat"],
     )
-    def test_rotation_checks_name_the_splice(self, after, interior, problem):
+    def test_rotation_checks_name_the_splice(self, xi, xj, interior, problem):
         G = complete_graph(4)
         with pytest.raises(EngineError, match=problem):
-            insert_at_consecutive(G, OrientedPath((0, 1, 2)), after, interior)
+            via_component_path(G, OrientedPath((0, 1, 2)), xi, xj, interior)
 
     def test_rotation_check_catches_a_dropped_vertex(self):
         # longer, same endpoints, every edge present, but 1 is gone
@@ -321,6 +319,24 @@ def _extractions(draw):
     G = graph_from_code(n, draw(st.integers(0, (1 << n * (n - 1) // 2) - 1)))
     u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
     return G, draw(st.integers(1, 4)), u, v
+
+
+@st.composite
+def _dense_graphs_with_walks(draw):
+    """A G(n,p) on 5-10 vertices with p 6/10-9/10, a k in {1, 2} and a
+    simple path drawn as a random walk that never revisits a vertex."""
+    n = draw(st.integers(5, 10))
+    p10 = draw(st.integers(6, 9))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    coins = draw(st.lists(st.integers(0, 9), min_size=len(pairs), max_size=len(pairs)))
+    G = build_graph(n, [e for e, c in zip(pairs, coins) if c < p10])
+    path = [draw(st.integers(0, n - 1))]
+    for _ in range(draw(st.integers(1, n - 1))):
+        steps = [w for w in G.neighbors(path[-1]) if w not in path]
+        if not steps:
+            break
+        path.append(draw(st.sampled_from(steps)))
+    return G, draw(st.integers(1, 2)), tuple(path)
 
 
 class TestKFree:
@@ -425,6 +441,23 @@ class TestExtract:
                             G.adj, k, u, v, res.outcome, res.trace
                         )
                         assert validate_outcome(G, k, u, v, res.outcome).accepted
+
+    @settings(max_examples=300, deadline=None)
+    @given(_dense_graphs_with_walks())
+    def test_any_start_path_on_a_satisfying_graph_ends_hamiltonian(self, case):
+        """The theorem from an arbitrary start path: on a graph meeting all
+        three hypotheses, iterating the cascade from any simple (u,v)-path
+        ends in an accepted Hamilton path, never a certificate or a stall."""
+        G, k, path = case
+        assume(len(path) >= 2 and hypothesis_check(G, k).all_hypotheses)
+        P = OrientedPath(path)
+        for _ in range(G.n - len(path) + 1):
+            rule, step = extend_or_certify(G, k, P)
+            if not isinstance(step, OrientedPath):
+                break
+            P = step
+        assert isinstance(step, HamiltonPath), (G.adj, k, path, rule, step)
+        assert validate_outcome(G, k, path[0], path[-1], step).accepted
 
     def test_certificates_name_a_failing_hypothesis(self):
         """Whenever the engine certifies, the named hypothesis genuinely
@@ -536,6 +569,11 @@ class TestDeepRules:
                 HamiltonPath((1, 9, 7, 8, 6, 5, 3, 2, 0, 4)),
             ),
             (
+                "HpJ|ZEZ", 2, 2, 6,  # off-hypothesis: kappa = 3
+                ("rule1",) * 5 + ("rule6",),
+                ForbiddenInduced(edge=(7, 1), independent=frozenset({3, 4})),
+            ),
+            (
                 "IsaB@Y{^?", 2, 6, 7,
                 ("rule1",) * 3 + ("rule5",),
                 ForbiddenInduced(edge=(1, 6), independent=frozenset({3, 5})),
@@ -578,6 +616,7 @@ class TestDeepRules:
         ],
         ids=[
             "rule6-on-hypothesis",
+            "rule6-witness",
             "rule5-reversed-head-witness",
             "rule5-reversed-head-path",
             "rule8-two-neighbour-absorption",

@@ -189,6 +189,12 @@ class TestFamilies:
             with pytest.raises(GraphInputError, match=r"p must lie in \[0,1\]"):
                 parse_family(text)
         assert parse_family("gnp:8,0").p == 0 and parse_family("gnp:8,1").p == 1
+        # so is a family too small for its constructor
+        for text in ("complete:0", "path:0", "exhaustive:0", "gnp:0,1/2", "bipartite:0,0",
+                     "complete:-3", "cycle:2"):
+            with pytest.raises(GraphInputError, match="bad family spec .*n must be at least"):
+                parse_family(text)
+        assert parse_family("complete:1").n == 1 and parse_family("cycle:3").n == 3
 
     @pytest.mark.parametrize(
         "text", ["cycle:63", "bipartite:40,40", "gnp:63,1/2", "complete:1000000000"]
