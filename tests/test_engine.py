@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import random
 from fractions import Fraction
 
@@ -44,6 +45,20 @@ from hamcert.graph import mask_of
 def _union_graph(n: int, *seqs: tuple[int, ...]):
     """The graph whose edges are the consecutive pairs of every sequence."""
     return build_graph(n, sorted({tuple(sorted(e)) for s in seqs for e in zip(s, s[1:])}))
+
+
+def _spy_three_case(monkeypatch) -> list[int]:
+    """Route engine.three_case through a spy; the returned list collects
+    the a of every call."""
+    calls = []
+    real = engine.three_case
+
+    def spy(*args):
+        calls.append(inspect.signature(real).bind(*args).arguments["a"])
+        return real(*args)
+
+    monkeypatch.setattr(engine, "three_case", spy)
+    return calls
 
 
 def _simple_paths(G, u: int, v: int):
@@ -536,13 +551,11 @@ class TestExtract:
         0, and xq = 4, after a, give branch C. The graph is off-hypothesis
         (kappa = 1)."""
         G = parse_graph6("JjCwHc@?KT?")
-        calls = []
-        real = engine.three_case
-        monkeypatch.setattr(engine, "three_case", lambda *args: calls.append(args[2:4]) or real(*args))
+        calls = _spy_three_case(monkeypatch)
         assert extend_or_certify(G, 2, OrientedPath(tuple(range(10)))) == (
             "rule5", OrientedPath((0, 10, 4, 3, 1, 2, 5, 6, 7, 8, 9))
         )
-        assert calls == [(0, 2)]  # (anchor, a)
+        assert calls == [2]  # a
         assert hypothesis_check(G, 2).connectivity == 1
 
     def test_rule8_witness_is_guaranteed(self, monkeypatch):
@@ -553,6 +566,38 @@ class TestExtract:
         monkeypatch.setattr(engine, "_forbidden", lambda *args: None)
         with pytest.raises(EngineError, match="guaranteed forbidden witness"):
             extract(G, 1, 3, 0)
+
+
+class TestThreeCaseBranches:
+    """The three-case rotation's branches A and B reached through
+    extend_or_certify from a constructed start path; each graph is
+    off-hypothesis (it has the forbidden pattern). A seeded search over 4.0M
+    random start paths (n 7-14, k 1-3) hit branch A 2 times, B 13 and C 11."""
+
+    @pytest.mark.parametrize(
+        "word, k, start, a, rule, path",
+        [
+            (
+                "J~q}Mj]sNy?", 2, (0, 4, 10, 3, 7, 1, 2, 5, 8, 6), 10,
+                "rule6", (0, 4, 10, 7, 1, 9, 3, 2, 5, 8, 6),
+            ),
+            (
+                "H|Dzc[k", 2, (5, 1, 6, 3, 4, 8, 2, 0), 2,
+                "rule6", (5, 7, 6, 1, 2, 8, 4, 3, 0),
+            ),
+            (
+                "LW|rh[A^Qvd]~n", 2, (10, 7, 5, 6, 1, 12, 3, 9, 4, 0, 2, 11), 9,
+                "rule5", (10, 8, 6, 5, 7, 9, 3, 12, 1, 4, 0, 2, 11),
+            ),
+        ],
+        ids=["a-rule6", "b-rule6", "b-rule5-scan"],
+    )
+    def test_rotation(self, word, k, start, a, rule, path, monkeypatch):
+        G = parse_graph6(word)
+        calls = _spy_three_case(monkeypatch)
+        assert extend_or_certify(G, k, OrientedPath(start)) == (rule, OrientedPath(path))
+        assert calls == [a]
+        assert hypothesis_check(G, k).forbidden_witness is not None
 
 
 class TestDeepRules:
