@@ -142,45 +142,24 @@ def via_component_path(
     return _checked(G, P, new, "detour")
 
 
-def three_case(
-    G: Graph, P: OrientedPath, anchor: int, a: int, common: int, x: int
-) -> OrientedPath:
-    """Common-neighbor rotation at a consecutive pair (a, a+): the first
-    two common neighbors give bases xp < xq, and their positions relative
-    to the segment's anchor neighbor pick branch A, B or C."""
-    picks = sorted(bits(common), key=P.position)[:2]
-    if len(picks) < 2:
-        raise EngineError(f"three-case rotation needs two common neighbors, got {len(picks)}")
-    xp, xq = (P.pred(w) for w in picks)
-    seq = list(P.seq)
+def three_case(G: Graph, P: OrientedPath, a: int, x_mask: int, x: int) -> OrientedPath:
+    """Rotation at the consecutive pair (a, a+): the first two common
+    neighbors of a and a+ in ``x_mask``, a set of successors of x's path
+    neighbors, give bases xp before xq, and a's position picks branch A
+    (a before xp), B (a after xq) or C (a between them)."""
+    seq = P.seq
     pa = P.position(a)
     pb = pa + 1
-    pp, pq = P.position(xp), P.position(xq)
-    anchor_pos = P.position(anchor)
-    if pp > anchor_pos:
-        new = (
-            seq[: pa + 1]
-            + seq[pp + 1 : pq + 1]
-            + [x]
-            + list(reversed(seq[pb : pp + 1]))
-            + seq[pq + 1 :]
-        )
-    elif pq <= anchor_pos:
-        new = (
-            seq[: pp + 1]
-            + [x]
-            + list(reversed(seq[pp + 1 : pq + 1]))
-            + list(reversed(seq[pq + 1 : pa + 1]))
-            + seq[pb:]
-        )
+    picks = sorted(bits(G.adj[a] & G.adj[seq[pb]] & x_mask), key=P.position)[:2]
+    if len(picks) < 2:
+        raise EngineError(f"three-case rotation needs two common neighbors, got {len(picks)}")
+    pp, pq = (P.position(w) - 1 for w in picks)
+    if pa < pp:
+        new = seq[:pb] + seq[pp + 1 : pq + 1] + (x,) + seq[pp:pa:-1] + seq[pq + 1 :]
+    elif pq < pa:
+        new = seq[: pp + 1] + (x,) + seq[pq:pp:-1] + seq[pa:pq:-1] + seq[pb:]
     else:
-        new = (
-            seq[: pp + 1]
-            + [x]
-            + list(reversed(seq[pb : pq + 1]))
-            + seq[pp + 1 : pa + 1]
-            + seq[pq + 1 :]
-        )
+        new = seq[: pp + 1] + (x,) + seq[pq:pa:-1] + seq[pp + 1 : pb] + seq[pq + 1 :]
     return _checked(G, P, new, "three-case rotation")
 
 
@@ -311,16 +290,16 @@ def _scan_segment(
     k: int,
     P: OrientedPath,
     x: int,
-    anchor: int,
     plus: tuple[int, ...],
     seg: tuple[int, ...],
 ) -> OrientedPath | ForbiddenInduced | None:
-    """Parity scan of the segment after ``anchor`` (claims 3/4 machinery).
+    """Parity scan of ``seg``, the stretch between two path neighbors of x
+    (claims 3/4 machinery).
 
     Returns None when clean, else the rotated path or the forbidden
     witness the scan found. Odd positions must avoid the successor set
-    (just the anchor successor when 2k-1 == 1); even positions must see
-    at least k+1 members of the reference set.
+    (just seg[0] when 2k-1 == 1); even positions must see at least k+1
+    members of the reference set.
     """
     anchor_succ = seg[0]
     union_mask = mask_of(plus) if 2 * k - 1 >= 2 else 1 << anchor_succ
@@ -347,8 +326,7 @@ def _scan_segment(
     w = seg[jstar - 1]
     if (G.adj[w] & x_mask).bit_count() <= k:
         return _forbidden_or_bug(G, k, (xr, w), [x] + X)
-    a = seg[jstar - 2]
-    return three_case(G, P, anchor, a, G.adj[a] & G.adj[w] & x_mask, x)
+    return three_case(G, P, seg[jstar - 2], x_mask, x)
 
 
 # One step of the cascade: the rule that fired, and either the lengthened
@@ -370,7 +348,7 @@ def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int, nbrs: tuple[int,
         seg = segs[i]
         if not seg:
             continue
-        hit = _scan_segment(G, k, P, x, nbrs[i - 1], plus, seg)
+        hit = _scan_segment(G, k, P, x, plus, seg)
         if hit is not None:
             return "rule5", hit
     if segs[0]:
@@ -378,7 +356,7 @@ def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int, nbrs: tuple[int,
         R = P.reversed()
         hit = _detour(G, R, 1 << x, nbrs[::-1])
         if hit is None:
-            hit = _scan_segment(G, k, R, x, nbrs[0], minus[::-1], segs[0][::-1])
+            hit = _scan_segment(G, k, R, x, minus[::-1], segs[0][::-1])
         if hit is not None:
             return "rule5", hit.reversed() if isinstance(hit, OrientedPath) else hit
 
@@ -395,7 +373,7 @@ def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int, nbrs: tuple[int,
         a = seg[-1]
         if (G.adj[a] & x_mask).bit_count() <= k:
             raise EngineError("even-segment endpoint lost its reference count")
-        return "rule6", three_case(G, P, nbrs[i - 1], a, G.adj[a] & G.adj[nxt] & x_mask, x)
+        return "rule6", three_case(G, P, a, x_mask, x)
 
     s_prime = _odd_sets(segs)
     wide_candidates = [x] + sorted(set(plus) | set(minus))

@@ -103,7 +103,13 @@ def parse_pair_policy(text: str) -> PairPolicy:
 
 
 def _check_capacity(cfg: SweepConfig) -> None:
-    """Reject a sweep past a ceiling before its first task."""
+    """Reject a sweep past a ceiling, or one that would check nothing or
+    fail mid-run, before its first task."""
+    if not cfg.ks or min(cfg.ks) < 1:
+        raise GraphInputError(f"a sweep needs at least one k, each at least 1, got {cfg.ks}")
+    kind, m = cfg.pair_policy
+    if kind not in ("all", "sample", "none") or m < 0:
+        raise GraphInputError(f"bad pair policy {cfg.pair_policy!r}")
     for fam in cfg.families:
         if fam.kind == "exhaustive" and fam.n > EXHAUSTIVE_CEILING:
             raise CapacityError(f"exhaustive sweep capped at n={EXHAUSTIVE_CEILING}, got {fam.n}")

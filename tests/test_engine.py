@@ -171,7 +171,8 @@ class TestOrientedPath:
 
 
 class TestRotations:
-    def test_insert_at_consecutive(self):
+    def test_rule1_insertion_between_consecutive_neighbours(self):
+        # xj=1 follows xi=0, so the reversed stretch is just 1
         G = build_graph(4, [(0, 1), (1, 2), (0, 3), (3, 1)])
         P = OrientedPath((0, 1, 2))
         out = via_component_path(G, P, 0, 1, (3,))
@@ -189,37 +190,37 @@ class TestRotations:
                             (0, 3), (2, 5), (1, 4), (0, 2), (3, 6), (1, 5),
                             (2, 4), (0, 4), (1, 6)])
         P = OrientedPath((0, 1, 2, 3, 4, 5))
-        # branch A: the bases xp=1, xq=3 (successors 2, 4) both follow
-        # the anchor 0; a=0
-        out = three_case(G, P, 0, 0, mask_of((2, 4)), 6)
+        # branch A: a=0 lies before the bases xp=1 and xq=3, whose
+        # successors 2 and 4 see a and a+=1
+        out = three_case(G, P, 0, mask_of((2, 4)), 6)
         assert out.seq == (0, 2, 3, 6, 1, 4, 5)
         assert out.first == 0 and out.last == 5
 
     def test_three_case_template_b(self):
-        # branch B: xp=1 and xq=3 (successors 2, 4) lie at or before the
-        # anchor 4; a=5, a+=6, and x=8 joins xp to xq
+        # branch B: a=5 lies after the bases xp=1 and xq=3, whose
+        # successors 2 and 4 see a and a+=6; x=8 joins xp to xq
         P = OrientedPath((0, 1, 2, 3, 4, 5, 6, 7))
         expected = (0, 1, 8, 3, 2, 5, 4, 6, 7)
-        G = _union_graph(9, P.seq, expected)
-        out = three_case(G, P, 4, 5, mask_of((2, 4)), 8)
+        G = _union_graph(9, P.seq, expected, (2, 6))
+        out = three_case(G, P, 5, mask_of((2, 4)), 8)
         assert out.seq == expected
 
     def test_three_case_template_c(self):
-        # branch C: xp=1 lies at the anchor 1, xq=5 after a=3; successors
-        # 2 and 6, and x=8 joins xp to xq
+        # branch C: a=3 lies between the bases xp=1 and xq=5, whose
+        # successors 2 and 6 see a and a+=4; x=8 joins xp to xq
         P = OrientedPath((0, 1, 2, 3, 4, 5, 6, 7))
         expected = (0, 1, 8, 5, 4, 2, 3, 6, 7)
-        G = _union_graph(9, P.seq, expected)
-        out = three_case(G, P, 1, 3, mask_of((2, 6)), 8)
+        G = _union_graph(9, P.seq, expected, (4, 6))
+        out = three_case(G, P, 3, mask_of((2, 6)), 8)
         assert out.seq == expected
 
     def test_three_case_needs_two_common_neighbors(self):
         G = complete_graph(7)
         P = OrientedPath((0, 1, 2, 3, 4, 5))
         with pytest.raises(EngineError, match="needs two common neighbors, got 1"):
-            three_case(G, P, 0, 0, mask_of((2,)), 6)
+            three_case(G, P, 0, mask_of((2,)), 6)
 
-    def test_outside_two_neighbors(self):
+    def test_rule8_absorption_of_x_and_y(self):
         # x=6 sits between xp=1 and the reversed middle; y=7 sees the
         # successors 2 and 4 of xp and xq
         G = build_graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5),
@@ -547,8 +548,8 @@ class TestExtract:
         """The parity scan's three-case return, which neither the other
         tests nor extractions from random start paths were seen to reach.
         x = 10 sees 0, 4, 6 and 8; besides its path neighbours, w = 3 sees
-        1, 5 and 7, and a = 2 sees 5 and 7. The bases xp = 0, at the anchor
-        0, and xq = 4, after a, give branch C. The graph is off-hypothesis
+        1, 5 and 7, and a = 2 sees 5 and 7. a lies between the bases xp = 0
+        and xq = 4, which gives branch C. The graph is off-hypothesis
         (kappa = 1)."""
         G = parse_graph6("JjCwHc@?KT?")
         calls = _spy_three_case(monkeypatch)

@@ -95,6 +95,17 @@ class TestRunSweep:
         with pytest.raises(CapacityError):
             run_sweep(cfg)
 
+    @pytest.mark.parametrize(
+        "change",
+        [{"ks": ()}, {"ks": (0,)}, {"pair_policy": ("bogus", 0)}, {"pair_policy": ("sample", -1)}],
+        ids=["no-k", "k-zero", "unknown-policy", "negative-sample"],
+    )
+    def test_config_that_checks_nothing_rejected_before_first_task(self, change, monkeypatch):
+        monkeypatch.setattr(sweep, "process_task", _no_task)
+        cfg = SweepConfig(families=(FamilySpec(kind="cycle", n=5),), ks=(1,))
+        with pytest.raises(GraphInputError):
+            run_sweep(replace(cfg, **change))
+
     def test_zero_graphs_is_an_input_error(self):
         cfg = SweepConfig(
             families=(FamilySpec(kind="gnp", n=6, p=Fraction(1, 2)),), ks=(1,), samples=0
