@@ -108,7 +108,8 @@ def components_masks(adj: tuple[int, ...], remaining: int) -> list[int]:
     calls at any n: the engine's off-path components, the validator
     (through ``components_after_removal``), ``is_connected``, Hamilton
     backtracking's pruning and the brute-force connectivity oracle. The
-    cut scan counts its components with its own per-scan tables.
+    cut kernel finds its separating sets bit-parallel and counts their
+    components with its own per-scan tables.
     """
     out = []
     rem = remaining

@@ -10,13 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import CapacityError, GraphInputError
 from .graph import Graph, bits, components_masks, mask_of
 from .outcomes import ForbiddenInduced
 
-TOUGHNESS_CEILING = 16  # subset enumeration; 2^16 cuts
+# the cut kernel caches 2n + 1 ints of 2^n bits per n and reads neighbour
+# lists from two byte tables; Hamilton backtracking shares the cap
+TOUGHNESS_CEILING = 16
 
 
 # --- vertex connectivity ----------------------------------------------------
@@ -73,56 +76,117 @@ def _neighbourhood_unions(adj: list[int], first: int, count: int) -> list[int]:
     return table
 
 
-def _scan_cuts(G: Graph, kappa_cap: int, exact: bool) -> tuple[int, int, int, int]:
-    """The one subset-enumeration kernel behind every cut-based oracle.
+@lru_cache(maxsize=None)
+def _subset_planes(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Bit-parallel indicators over the 2**n vertex sets of an n-vertex
+    graph, one 2**n-bit int each, bit R standing for the set with mask R:
+    ``planes[v]`` has bit R set when v is in R, ``layers[s]`` when R has
+    s members. Built once per n (2n + 1 ints of 2**n / 8 bytes).
+    """
+    size = 1 << n
+    ones = (1 << size) - 1
+    planes = []
+    for v in range(n):
+        period = 2 << v  # 2**v clear bits, then 2**v set bits, repeated
+        block = ((1 << (1 << v)) - 1) << (1 << v)
+        planes.append(block * (ones // ((1 << period) - 1)))
+    layers = [1]
+    for v in range(n):  # the sets that take v are those without it, moved up by 2**v
+        layers = [a | b << (1 << v) for a, b in zip(layers + [0], [0] + layers)]
+    return tuple(planes), tuple(layers)
 
-    Visits removal sets S by ascending size, so the first separator gives
-    kappa exactly; returns ``(min(kappa, kappa_cap), num, den, cut)`` with
-    num/den the least |S|/c(G-S) met, first reached at ``cut``: den is
-    c(G-cut), or 0 if no separator was met. Exact mode stops once kappa is
-    known and |S|/(n-|S|), which bounds every later ratio, reaches the best.
-    Threshold mode decides only whether toughness <= 1: it stops once kappa
-    is settled up to the cap and a cut with |S| <= c(G-S) is met or |S| > n/2.
 
-    Components of G - S are counted inline, a whole BFS layer per step:
-    with h = ceil(n/2), ``lo`` holds the closed-neighbourhood union of every
-    set of vertices below h and ``hi`` of every set from h up, so a
-    component's next layer is two table lookups. The tables (at most
-    2 * 256 entries) are built once per scan and pay off over its thousands
-    of removal sets; ``components_masks``, which expands one vertex per
-    step, stays the fill for one-off calls, where building the tables would
-    cost more than it saves.
+# the set bit positions of every byte value, and of every byte value moved
+# up by 8: a neighbour list with n <= TOUGHNESS_CEILING is two lookups
+_BYTE_BITS = [list(bits(m)) for m in range(256)]
+_HIGH_BYTE_BITS = [[v + 8 for v in low] for low in _BYTE_BITS]
+
+
+def _reversed(mask: int, n: int) -> int:
+    """``mask``'s n low bits in reverse order: bit v moves to bit n-1-v."""
+    return int(format(mask, f"0{n}b")[::-1], 2)
+
+
+def _scan_cuts(G: Graph, exact: bool) -> tuple[int, int, int, int]:
+    """The one cut kernel behind every cut-based oracle; returns
+    ``(kappa, num, den, cut)``, with kappa = n - 1 for a complete graph.
+
+    Stage 1 finds every vertex set R whose induced graph G[R] is
+    disconnected, all at once, on the 2**n-bit planes of
+    ``_subset_planes`` taken with vertex v at bit n-1-v, so that a lower
+    index R is a lexicographically earlier cut S = V - R. ``reach[v]``
+    starts as the sets whose lowest member is v; each sweep ORs in the
+    reach of v's neighbours and keeps the sets that hold v, until a sweep
+    changes nothing. Then ``reach[v]`` holds the sets in which v is joined
+    to the lowest member, and ``split``, the union of every
+    ``planes[v] ^ reach[v]``, the disconnected ones. kappa is the least
+    |S| whose layer meets ``split``.
+
+    Stage 2 goes up from |S| = kappa and counts the components of G - S
+    for the separating S alone, keeping the least ratio num/den = |S|/c
+    first reached at ``cut``: within a layer the most components, ties to
+    the lowest index, so the witness is the least ratio, then the fewest
+    vertices, then the first sorted vertex list; den is 0 if no S
+    separates. Exact mode stops once |S|/(n-|S|), which bounds every later
+    ratio, reaches the best. Threshold mode decides only whether toughness
+    is at most 1: it stops at a cut with |S| <= c(G-S), or once
+    |S| > n/2, and returns before any count if a separator has at most 2
+    vertices, since c >= 2 (num, den and cut then name no particular cut).
+
+    Components are counted a whole BFS layer per step: with h = ceil(n/2),
+    ``lo`` holds the closed-neighbourhood union of every set of vertices
+    below h and ``hi`` of every set from h up, so a component's next layer
+    is two table lookups. The tables (at most 2 * 256 entries) are built
+    once per scan, over the same relabelling; ``components_masks``, which
+    expands one vertex per step, stays the fill for one-off calls.
     """
     n = G.n
     if n > TOUGHNESS_CEILING:
         raise CapacityError(
             f"exact cut scan is capped at n={TOUGHNESS_CEILING}, got n={n}"
         )
-    if G.is_complete():
-        return min(n - 1, kappa_cap), 0, 0, 0
-    full = G.full_mask
-    kappa = -1
-    num = den = cut = 0
-
-    def settled(size: int) -> bool:
-        if kappa < 0 and size < kappa_cap:
-            return False
-        if exact:
-            return den > 0 and size * den >= num * (n - size)
-        return (den > 0 and num <= den) or 2 * size > n
+    planes, layers = _subset_planes(n)
+    planes = planes[::-1]  # vertex v at bit n-1-v
+    nbrs = [_BYTE_BITS[a & 255] + _HIGH_BYTE_BITS[a >> 8] for a in G.adj]
+    # the sets whose lowest member is v: indices from 2**(n-1-v) up to 2**(n-v)
+    reach = [((1 << (1 << q)) - 1) << (1 << q) for q in range(n - 1, -1, -1)]
+    changed = True
+    while changed:
+        changed = False
+        for v, p in enumerate(planes):
+            r = reach[v]
+            for u in nbrs[v]:
+                r |= reach[u]
+            r &= p
+            if r != reach[v]:
+                reach[v] = r
+                changed = True
+    split = 0
+    for p, r in zip(planes, reach):
+        split |= p ^ r
+    kappa = next((s for s in range(n - 1) if split & layers[n - s]), n - 1)
+    if not exact and split and kappa <= 2:  # a separator with c >= 2 >= |S|
+        return kappa, kappa, 2, 0
 
     h = (n + 1) // 2
     low_mask = (1 << h) - 1
-    closed = [a | 1 << v for v, a in enumerate(G.adj)]
+    closed = [_reversed(a | 1 << v, n) for v, a in enumerate(G.adj)][::-1]
     lo = _neighbourhood_unions(closed, 0, h)
     hi = _neighbourhood_unions(closed, h, n - h)
-    vertex_bits = [1 << v for v in range(n)]
-    for size in range(n - 1):
-        if settled(size):
+    num = den = best = 0
+    for s in range(kappa, n - 1):
+        if exact:
+            if den and s * den >= num * (n - s):
+                break
+        elif (den and num <= den) or 2 * s > n:
             break
-        for sub in combinations(vertex_bits, size):
-            rm = sum(sub)
-            rem = full & ~rm
+        stop = n - s if exact else s  # as many components as settle the layer
+        most = index = 0
+        text = bin(split & layers[n - s])  # the separating S, as R = V - S
+        last = len(text) - 1  # bit i of the layer is text[last - i]
+        j = text.rfind("1")
+        while j >= 0:
+            i = rem = last - j
             c = 0
             while rem:
                 comp = rem & -rem
@@ -133,23 +197,24 @@ def _scan_cuts(G: Graph, kappa_cap: int, exact: bool) -> tuple[int, int, int, in
                     comp = grown
                 rem ^= comp
                 c += 1
-            if c >= 2:
-                if kappa < 0:
-                    kappa = size
-                if not den or size * den < num * c:
-                    num, den, cut = size, c, rm
-                    if settled(size):
-                        break
-    return (min(kappa, kappa_cap) if kappa >= 0 else kappa_cap), num, den, cut
+            if c > most:
+                most, index = c, i
+                if c >= stop:
+                    break
+            j = text.rfind("1", 0, j)
+        if not den or s * den < num * most:
+            num, den, best = s, most, index
+    cut = _reversed(((1 << n) - 1) ^ best, n) if den else 0
+    return kappa, num, den, cut
 
 
 def cut_scan(G: Graph) -> tuple[int, Toughness]:
     """Exact connectivity (smallest disconnecting set) and exact toughness
-    with its witness cut, from one scan of vertex subsets. Among cuts of
+    with its witness cut, from one run of the cut kernel. Among cuts of
     least ratio the witness has the fewest vertices, then the
     lexicographically first sorted vertex list.
     """
-    kappa, num, den, cut = _scan_cuts(G, G.n - 1, exact=True)
+    kappa, num, den, cut = _scan_cuts(G, exact=True)
     if not den:
         return kappa, Toughness(is_infinite=True)
     return kappa, Toughness(False, Fraction(num, den), frozenset(bits(cut)), den)

@@ -3,9 +3,9 @@ extraction, validation, and JSONL reporting.
 
 A sweep with an output sink records one line per (graph, k) with exact
 invariant values from ``cut_scan``. Without a sink it runs in a light mode:
-``quick_hypotheses`` runs the same cut-enumeration kernel in its early-exit
-threshold mode, which settles kappa only up to 2 max(ks) and only decides
-whether toughness exceeds 1, so exhaustive 7-vertex runs stay tractable.
+``quick_hypotheses`` runs the same cut kernel in its early-exit threshold
+mode, which decides only whether toughness exceeds 1, and caps kappa at
+2 max(ks), so exhaustive 7-vertex runs stay tractable.
 Both modes pass kappa and "toughness > 1" to one per-k verdict; light mode
 skips the forbidden-pattern search where that verdict is already no.
 
@@ -148,10 +148,11 @@ def _materialize(task: tuple) -> Graph:
 
 
 def quick_hypotheses(G: Graph, ks: tuple[int, ...]) -> tuple[int, bool]:
-    """(kappa, toughness > 1) from the early-exit threshold mode of the cut
-    scan behind ``cut_scan``, which settles kappa only up to 2 max(ks)."""
-    kappa, num, den, _ = _scan_cuts(G, 2 * max(ks, default=0), exact=False)
-    return kappa, not den or num > den
+    """(kappa capped at 2 max(ks), toughness > 1) from the threshold mode
+    of the cut kernel behind ``cut_scan``, which stops as soon as it knows
+    whether toughness exceeds 1."""
+    kappa, num, den, _ = _scan_cuts(G, exact=False)
+    return min(kappa, 2 * max(ks, default=0)), not den or num > den
 
 
 # --- per-graph processing ---------------------------------------------------
@@ -172,9 +173,18 @@ def _select_pairs(
     return sorted(rng.sample(every, min(m, len(every))))
 
 
+def _fault(exc: Exception) -> str:
+    """The text of an exception raised in extraction or validation. Every
+    type but ``EngineError`` is named, since it marks a bug the engine did
+    not detect; the graph6 word, k and pair beside it reproduce it."""
+    return str(exc) if isinstance(exc, EngineError) else f"{type(exc).__name__}: {exc}"
+
+
 def process_task(task: tuple, cfg: SweepConfig) -> tuple[list[dict], dict]:
     """Run one graph through every k: hypothesis evaluation, extraction
-    on the selected pairs, validation. Returns (records, summary delta)."""
+    on the selected pairs, validation. Returns (records, summary delta).
+    An exception raised by ``extract`` or ``validate_outcome`` becomes an
+    engine-error violation for its (k, pair), and the sweep carries on."""
     G = _materialize(task)
     n = G.n
     started = time.perf_counter()
@@ -208,8 +218,8 @@ def process_task(task: tuple, cfg: SweepConfig) -> tuple[list[dict], dict]:
             if res is None:
                 try:
                     res = extract(G, k, u, v)
-                except EngineError as exc:
-                    found.append(("engine error on", f"{where}: {exc}"))
+                except Exception as exc:  # a bug must not end the sweep
+                    found.append(("engine error on", f"{where}: {_fault(exc)}"))
                     continue
                 if res.k_free:
                     reusable[(u, v)] = res
@@ -218,7 +228,11 @@ def process_task(task: tuple, cfg: SweepConfig) -> tuple[list[dict], dict]:
             outcomes[kind] = outcomes.get(kind, 0) + 1
             overshoot = max(overshoot, res.extended_steps - max(0, n - 2))
             if kind != "stalled":  # a stall certifies nothing, so there is nothing to validate
-                report = validate_outcome(G, k, u, v, res.outcome)
+                try:
+                    report = validate_outcome(G, k, u, v, res.outcome)
+                except Exception as exc:  # a bug must not end the sweep
+                    found.append(("engine error on", f"{where}: {_fault(exc)}"))
+                    continue
                 if not report.accepted:
                     failures += 1
                     found.append((f"invalid {kind} on", f"{where}: {report.code}"))

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -25,7 +26,7 @@ from hamcert import (
     vertex_connectivity,
     vertex_connectivity_bruteforce,
 )
-from hamcert.invariants import find_forbidden_naive
+from hamcert.invariants import _subset_planes, find_forbidden_naive
 from hamcert.sweep import quick_hypotheses
 
 
@@ -147,8 +148,9 @@ LARGER_GRAPHS = {
 
 
 class TestScanAtLargerN:
-    """n = 9-16, where the scan's split neighbourhood tables have two
-    non-trivial halves and long diameters give many BFS layers."""
+    """n = 9-16, where the bit-parallel closure takes several sweeps over
+    planes of 2**n bits, the component-count tables have two non-trivial
+    halves and long diameters give many BFS layers."""
 
     @pytest.mark.parametrize("G", LARGER_GRAPHS.values(), ids=LARGER_GRAPHS.keys())
     def test_matches_bruteforce(self, G):
@@ -158,6 +160,58 @@ class TestScanAtLargerN:
         assert not tough.is_infinite
         assert (tough.value, tough.cut, tough.component_count) == (value, frozenset(cut), c)
         assert quick_hypotheses(G, (1, 2)) == (min(kappa, 4), value > 1)
+
+
+SEEDED_GNP = {
+    f"gnp-{n}-{p.replace('/', 'of')}-seed{seed}": gnp_graph(n, Fraction(p), seed=seed)
+    for n in range(11, 15)
+    for p in ("1/4", "1/2", "3/4")
+    for seed in (1, 2)
+}
+
+
+class TestScanOracles:
+    """The cut kernel against the independent brute-force oracles on
+    seeded G(n, p), and its subset planes against direct membership."""
+
+    @pytest.mark.parametrize("G", SEEDED_GNP.values(), ids=SEEDED_GNP.keys())
+    def test_cut_scan_and_quick_hypotheses(self, G):
+        kappa, tough = cut_scan(G)
+        assert kappa == vertex_connectivity_bruteforce(G)
+        value, _, cut, c = bruteforce_least_cut(G)
+        assert not tough.is_infinite
+        assert (tough.value, tough.cut, tough.component_count) == (value, frozenset(cut), c)
+        for ks in ((), (1,), (2,), (1, 3)):
+            assert quick_hypotheses(G, ks) == (min(kappa, 2 * max(ks, default=0)), value > 1)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_subset_planes_bit_by_bit(self, n):
+        planes, layers = _subset_planes(n)
+        assert len(planes) == n and len(layers) == n + 1
+        assert all(x >> (1 << n) == 0 for x in planes + layers)
+        for R in range(1 << n):
+            assert [x >> R & 1 for x in planes] == [R >> v & 1 for v in range(n)]
+            assert [x >> R & 1 for x in layers] == [s == R.bit_count() for s in range(n + 1)]
+
+
+class TestScanMemory:
+    def test_repeated_scans_keep_no_memory(self):
+        """After a warm-up, scans leave no allocations behind, such as
+        tuples built from generators that stay on CPython's free lists
+        (neighbour lists built as tuples left about 218 KiB in this test)."""
+        # dense, so that tracing stays cheap, yet several layers get counted
+        graphs = [gnp_graph(n, Fraction(3, 4), seed=i) for i in range(10) for n in (12, 13, 14)]
+        for G in graphs:
+            cut_scan(G)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(200):
+                cut_scan(graphs[i % len(graphs)])
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert left < 64 * 1024, left
 
 
 class TestForbiddenPattern:

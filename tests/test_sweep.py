@@ -196,6 +196,25 @@ class TestEngineErrors:
         assert records[word]["all_hypotheses"] is True
         assert records[word]["hamiltonian_connected"] is False
 
+    @pytest.mark.parametrize("layer", ["extract", "validate_outcome"])
+    def test_any_exception_recorded_as_a_violation(self, layer, monkeypatch):
+        real = getattr(sweep, layer)
+
+        def broken(G, k, u, v, *outcome):
+            if G.is_complete() and (u, v) == (1, 2):
+                raise KeyError(7)
+            return real(G, k, u, v, *outcome)
+
+        monkeypatch.setattr(sweep, layer, broken)
+        cfg = SweepConfig(
+            families=(FamilySpec(kind="exhaustive", n=4),), ks=(1,), pair_policy=("all", 0)
+        )
+        summary = run_sweep(cfg)
+        assert summary.graphs == 64
+        word = write_graph6(complete_graph(4))
+        assert summary.violations == [f"engine error on {word} k=1 pair=(1,2): KeyError: 7"]
+        assert not summary.clean
+
     def test_cli_sweep_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(sweep, "extract", _broken_on_k4(sweep.extract))
         code = main(["sweep", "--family", "exhaustive:4", "--k", "1", "--pairs", "all"])
