@@ -15,7 +15,7 @@ from fractions import Fraction
 from .certify import validate_outcome
 from .engine import extract
 from .errors import CapacityError, GraphInputError
-from .graph import Graph, complete_bipartite, generate, gnp_graph, parse_family
+from .graph import Graph, complete_bipartite, parse_family
 from .graph6 import parse_graph6, read_graph6_lines, write_graph6
 from .invariants import hypothesis_check, is_hamiltonian_connected
 from .outcomes import outcome_from_json, outcome_to_json
@@ -39,18 +39,20 @@ def _load_graph(args) -> Graph:
         return parse_graph6(args.graph6)
     if args.family:
         spec = parse_family(args.family)
-        if spec.kind == "exhaustive":
-            raise GraphInputError("exhaustive families only make sense under sweep")
-        if spec.kind == "gnp":
-            if args.seed is None:
-                raise GraphInputError("random families need --seed")
-            return gnp_graph(spec.n, spec.p, args.seed)
-        return next(generate(spec))
-    with open(args.input) as fh:
+        if spec.count(1) != 1:
+            raise GraphInputError(f"families of {spec.count(1)} graphs only make sense under sweep")
+        if spec.seeded and args.seed is None:
+            raise GraphInputError("random families need --seed")
+        return spec.graph(0, args.seed)
+    return _read_graphs(args.input)[0]
+
+
+def _read_graphs(path: str) -> list[Graph]:
+    with open(path) as fh:
         graphs = read_graph6_lines(fh)
     if not graphs:
-        raise GraphInputError(f"no graph6 lines in {args.input}")
-    return graphs[0]
+        raise GraphInputError(f"no graph6 lines in {path}")
+    return graphs
 
 
 def cmd_invariants(args) -> int:
@@ -101,19 +103,17 @@ def cmd_sweep(args) -> int:
     families = tuple(parse_family(f) for f in args.family or ())
     input_graphs: tuple = ()
     if args.input:
-        with open(args.input) as fh:
-            input_graphs = tuple((g.n, g.adj) for g in read_graph6_lines(fh))
+        input_graphs = tuple((g.n, g.adj) for g in _read_graphs(args.input))
     if not families and not input_graphs:
         raise GraphInputError("sweep needs --family or --input")
-    if any(f.kind == "gnp" for f in families) and args.seed is None:
+    if any(f.seeded for f in families) and args.seed is None:
         raise GraphInputError("random families need --seed")
-    seed = args.seed if args.seed is not None else 0
     cfg = SweepConfig(
         families=families,
         ks=ks,
         pair_policy=parse_pair_policy(args.pairs),
         samples=args.samples,
-        seed=seed,
+        seed=args.seed if args.seed is not None else 0,
         jobs=args.jobs,
         keep_records=args.output is not None,
         input_graphs=input_graphs,

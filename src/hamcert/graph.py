@@ -145,16 +145,79 @@ def is_connected(G: Graph) -> bool:
 
 # --- graph families ---------------------------------------------------------
 
+# every family kind, with the number of arguments it takes besides n
+FAMILY_ARITY = {"complete": 0, "bipartite": 2, "cycle": 0, "path": 0, "gnp": 1, "exhaustive": 0}
+
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """One of: complete, bipartite, cycle, path, gnp, exhaustive."""
+    """A family of graphs on n vertices: K_n, C_n or P_n (``complete``,
+    ``cycle``, ``path``), K_{s,t} (``bipartite``, args (s, t)), seeded
+    G(n, p) samples (``gnp``, args (p,)), or every labeled graph in code
+    order (``exhaustive``). Like ``Graph``, a spec checks itself when built;
+    sweeps and the CLI ask it, never its kind, how to count and build graphs."""
 
     kind: str
-    n: int = 0
-    s: int = 0
-    t: int = 0
-    p: Fraction = Fraction(0)
+    n: int
+    args: tuple = ()
+
+    def __post_init__(self):
+        if self.kind not in FAMILY_ARITY:
+            raise GraphInputError(f"unknown family kind {self.kind!r}")
+        if len(self.args) != FAMILY_ARITY[self.kind]:
+            raise GraphInputError(f"{self.kind} takes {FAMILY_ARITY[self.kind]} args, not {self.args}")
+        sizes = (self.n, *self.args) if self.kind == "bipartite" else (self.n,)
+        if not all(isinstance(x, int) for x in sizes):
+            raise GraphInputError(f"n and part sizes must be ints, got {sizes}")
+        if self.kind == "bipartite" and (min(self.args) < 0 or sum(self.args) != self.n):
+            raise GraphInputError(f"part sizes {self.args} must be non-negative and sum to n={self.n}")
+        if self.kind == "gnp" and not isinstance(self.args[0], Fraction):
+            raise GraphInputError(f"p must be an exact Fraction, got {self.args[0]!r}")
+        if self.kind == "gnp" and not 0 <= self.args[0] <= 1:
+            raise GraphInputError("p must lie in [0,1]")
+        least = 3 if self.kind == "cycle" else 1
+        if self.n < least:
+            raise GraphInputError(f"n must be at least {least}")
+        ceiling = EXHAUSTIVE_CEILING if self.kind == "exhaustive" else MAX_VERTICES
+        if self.n > ceiling:
+            raise CapacityError(f"n={self.n} exceeds the ceiling of {ceiling}")
+
+    @property
+    def seeded(self) -> bool:
+        return self.kind == "gnp"
+
+    def count(self, samples: int) -> int:
+        """How many graphs a sweep taking ``samples`` from each seeded family takes."""
+        if self.seeded:
+            return samples
+        if self.kind == "exhaustive":
+            return 1 << (self.n * (self.n - 1) // 2)
+        return 1
+
+    def graph(self, i: int = 0, seed: int = 0) -> Graph:
+        """Graph i; a seeded family draws it from ``seed``'s stream."""
+        if self.kind == "complete":
+            return complete_graph(self.n)
+        if self.kind == "bipartite":
+            return complete_bipartite(*self.args)
+        if self.kind == "cycle":
+            return cycle_graph(self.n)
+        if self.kind == "path":
+            return path_graph(self.n)
+        if self.seeded:
+            return gnp_graph(self.n, self.args[0], seed, i)
+        return graph_from_code(self.n, i)
+
+    def task(self, i: int, seed: int) -> tuple:
+        """Graph i as a sweep task, less its index. A code or a sample is
+        built by the worker that runs the task; a single graph is built here."""
+        if self.kind == "exhaustive":
+            return ("code", self.n, i)
+        if self.seeded:
+            p = self.args[0]
+            return ("gnp", self.n, p.numerator, p.denominator, seed, i)
+        G = self.graph()
+        return ("graph", G.n, G.adj)
 
 
 def complete_graph(n: int) -> Graph:
@@ -214,57 +277,32 @@ def graph_from_code(n: int, code: int) -> Graph:
 
 def exhaustive_graphs(n: int) -> Iterator[Graph]:
     """All 2^(n(n-1)/2) labeled graphs on n vertices, in code order."""
-    if n > EXHAUSTIVE_CEILING:
-        raise CapacityError(
-            f"exhaustive enumeration is capped at n={EXHAUSTIVE_CEILING}, got n={n}"
-        )
-    for code in range(1 << (n * (n - 1) // 2)):
-        yield graph_from_code(n, code)
+    yield from generate(FamilySpec("exhaustive", n))
 
 
 def generate(spec: FamilySpec) -> Iterator[Graph]:
-    """Stream the graphs of a deterministic family. A gnp spec has no
-    seed of its own: draw its samples with ``gnp_graph``."""
-    if spec.kind == "complete":
-        yield complete_graph(spec.n)
-    elif spec.kind == "bipartite":
-        yield complete_bipartite(spec.s, spec.t)
-    elif spec.kind == "cycle":
-        yield cycle_graph(spec.n)
-    elif spec.kind == "path":
-        yield path_graph(spec.n)
-    elif spec.kind == "gnp":
-        raise GraphInputError("gnp families are sampled with gnp_graph and a seed")
-    elif spec.kind == "exhaustive":
-        yield from exhaustive_graphs(spec.n)
-    else:
-        raise GraphInputError(f"unknown family kind {spec.kind!r}")
+    """Stream the graphs of a deterministic family, in the order a sweep
+    takes them. A seeded family has no seed of its own: draw its samples
+    with ``spec.graph(i, seed)``."""
+    if spec.seeded:
+        raise GraphInputError(f"{spec.kind} families are sampled with a seed")
+    for i in range(spec.count(1)):
+        yield spec.graph(i)
 
 
 def parse_family(text: str) -> FamilySpec:
-    """Parse CLI family specs like ``complete:5``, ``bipartite:4,4``, ``gnp:10,1/2``;
-    a spec with too few vertices or past ``MAX_VERTICES`` is refused before any graph is built."""
+    """Split a CLI family spec such as ``complete:5``, ``bipartite:4,4`` or
+    ``gnp:10,1/2`` into a ``FamilySpec``, which checks it. A malformed or
+    refused spec raises ``GraphInputError`` naming the text, and one past
+    its kind's ceiling ``CapacityError``, before any graph is built."""
     kind, _, rest = text.partition(":")
     try:
-        if kind in ("complete", "cycle", "path", "exhaustive"):
-            spec = FamilySpec(kind=kind, n=int(rest))
-        elif kind == "bipartite":
+        if kind == "bipartite":
             s, t = (int(x) for x in rest.split(","))
-            if min(s, t) < 0:
-                raise GraphInputError("part sizes must be non-negative")
-            spec = FamilySpec(kind=kind, n=s + t, s=s, t=t)
-        elif kind == "gnp":
+            return FamilySpec(kind, s + t, (s, t))
+        if kind == "gnp":
             n_text, p_text = rest.split(",")
-            spec = FamilySpec(kind=kind, n=int(n_text), p=Fraction(p_text))
-            if not 0 <= spec.p <= 1:
-                raise GraphInputError("p must lie in [0,1]")
-        else:
-            raise GraphInputError(f"unknown family {kind!r}")
-        least = 3 if kind == "cycle" else 1
-        if spec.n < least:
-            raise ValueError(f"n must be at least {least}")
+            return FamilySpec(kind, int(n_text), (Fraction(p_text),))
+        return FamilySpec(kind, int(rest))
     except (ValueError, ZeroDivisionError) as exc:
         raise GraphInputError(f"bad family spec {text!r}: {exc}") from exc
-    if spec.n > MAX_VERTICES:
-        raise CapacityError(f"n={spec.n} exceeds the ceiling of {MAX_VERTICES}")
-    return spec

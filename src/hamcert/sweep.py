@@ -28,14 +28,12 @@ from .certify import validate_outcome
 from .engine import ExtractionResult, extract
 from .errors import CapacityError, EngineError, GraphInputError
 from .graph import (
-    EXHAUSTIVE_CEILING,
     FamilySpec,
     Graph,
     _pairs,
     components_masks,  # noqa: F401 - unused here; bench/tracing.py counts fills through it
     gnp_graph,
     graph_from_code,
-    generate,
 )
 from .graph6 import write_graph6
 from .invariants import (
@@ -55,7 +53,7 @@ class SweepConfig:
     families: tuple[FamilySpec, ...]
     ks: tuple[int, ...]
     pair_policy: PairPolicy = ("sample", 2)
-    samples: int = 1  # per gnp family
+    samples: int = 1  # per seeded family
     seed: int = 0
     jobs: int = 1
     keep_records: bool = True
@@ -103,45 +101,42 @@ def parse_pair_policy(text: str) -> PairPolicy:
 
 
 def _check_capacity(cfg: SweepConfig) -> None:
-    """Reject a sweep past a ceiling, or one that would check nothing or
-    fail mid-run, before its first task."""
+    """Reject a sweep past a ceiling, or one that would check nothing,
+    before its first task. Each family spec has checked itself when built."""
     if not cfg.ks or min(cfg.ks) < 1:
         raise GraphInputError(f"a sweep needs at least one k, each at least 1, got {cfg.ks}")
     kind, m = cfg.pair_policy
     if kind not in ("all", "sample", "none") or m < 0:
         raise GraphInputError(f"bad pair policy {cfg.pair_policy!r}")
+    if not cfg.families and not cfg.input_graphs:
+        raise GraphInputError("the sweep selected no graphs")
     for fam in cfg.families:
-        if fam.kind == "exhaustive" and fam.n > EXHAUSTIVE_CEILING:
-            raise CapacityError(f"exhaustive sweep capped at n={EXHAUSTIVE_CEILING}, got {fam.n}")
+        if fam.count(cfg.samples) < 1:
+            raise GraphInputError(f"the {fam.kind} family selects no graph at samples={cfg.samples}")
     for n in [fam.n for fam in cfg.families] + [n for n, _ in cfg.input_graphs]:
         if n > TOUGHNESS_CEILING:
             raise CapacityError(f"sweeps are capped at n={TOUGHNESS_CEILING} vertices, got n={n}")
 
 
 def _task_stream(cfg: SweepConfig) -> Iterator[tuple]:
-    """Every task of the sweep in order, without the index ``run_sweep`` puts first."""
+    """Every task of the sweep in order, without the index ``run_sweep``
+    puts first: the input graphs, then each family's graphs as its spec
+    makes them into tasks."""
     for n, adj in cfg.input_graphs:
         yield ("graph", n, adj)
     for fam in cfg.families:
-        if fam.kind == "exhaustive":
-            for code in range(1 << (fam.n * (fam.n - 1) // 2)):
-                yield ("code", fam.n, code)
-        elif fam.kind == "gnp":
-            for i in range(cfg.samples):
-                yield ("gnp", fam.n, fam.p.numerator, fam.p.denominator, cfg.seed, i)
-        else:
-            for G in generate(fam):
-                yield ("graph", G.n, G.adj)
+        for i in range(fam.count(cfg.samples)):
+            yield fam.task(i, cfg.seed)
 
 
 def _materialize(task: tuple) -> Graph:
     kind = task[1]
     if kind == "code":
         return graph_from_code(task[2], task[3])
-    if kind == "gnp":
-        _, _, n, num, den, seed, i = task
-        return gnp_graph(n, Fraction(num, den), seed, i)
-    return Graph(task[2], task[3])
+    if kind == "graph":
+        return Graph(task[2], task[3])
+    _, _, n, num, den, seed, i = task
+    return gnp_graph(n, Fraction(num, den), seed, i)
 
 
 # --- light-mode hypothesis scan ---------------------------------------------
@@ -316,8 +311,6 @@ def run_sweep(
             if progress and summary.graphs % 50000 == 0:
                 progress(summary.graphs)
     summary.elapsed_s = time.perf_counter() - started
-    if not summary.graphs:
-        raise GraphInputError("the sweep selected no graphs")
     return summary
 
 

@@ -58,7 +58,7 @@ def exhaustive_sweep_summary():
 
 @pytest.fixture(scope="session")
 def gnp_sweep_summary():
-    fams = tuple(FamilySpec(kind="gnp", n=n, p=p) for n, p in GNP_POOL)
+    fams = tuple(FamilySpec(kind="gnp", n=n, args=(p,)) for n, p in GNP_POOL)
     cfg = SweepConfig(
         families=fams,
         ks=(1, 2, 3),

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from hamcert import cli, complete_bipartite, complete_graph, invariants, write_graph6
+from hamcert import FamilySpec, complete_bipartite, complete_graph, invariants, write_graph6
 from hamcert.cli import main, tightness_report
 
 
@@ -76,10 +76,10 @@ class TestInvariantsCommand:
         ],
     )
     def test_oversized_family_exits_2_before_building(self, capsys, monkeypatch, command, flags):
-        def forbidden(spec):
+        def forbidden(spec, *args):
             raise AssertionError("built a family graph past the vertex ceiling")
 
-        monkeypatch.setattr(cli, "generate", forbidden)
+        monkeypatch.setattr(FamilySpec, "graph", forbidden)
         code, out, err = run_cli(capsys, command, "--family", "complete:1000000000", *flags)
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "exceeds the ceiling of 62" in err
@@ -351,19 +351,21 @@ EMPTY_FILE = "<an empty file>"  # replaced by the path of one
     "argv, message",
     [
         (("invariants", "--k", "1", "--family", "exhaustive:4"), "only make sense under sweep"),
+        (("invariants", "--k", "1", "--family", "exhaustive:8"), "exceeds the ceiling of 7"),
         (("invariants", "--k", "1", "--input", EMPTY_FILE), "no graph6 lines"),
         (("sweep", "--k", "1,x"), "bad --k list '1,x'"),
         (("sweep", "--k", "0,1"), "every k must be at least 1"),
         (("sweep", "--k", "1"), "sweep needs --family or --input"),
+        (("sweep", "--k", "1", "--input", EMPTY_FILE), "no graph6 lines in "),
         (("validate", "--graph6", K44, "--outcome", EMPTY_FILE), "no outcome record"),
         (("tightness", "--n", "16"), "capped at n=12"),
         (("invariants", "--family", "exhaustive:4"), "required: --k"),
         (("invariants", "--family", "exhaustive:4", "--k", "x"), "invalid int value: 'x'"),
         (("frobnicate",), "invalid choice: 'frobnicate'"),
     ],
-    ids=["invariants-exhaustive", "invariants-empty-input", "sweep-bad-k", "sweep-k-0",
-         "sweep-no-graphs", "validate-empty-outcome", "tightness-over-cap",
-         "invariants-missing-k", "invariants-bad-k", "unknown-command"],
+    ids=["invariants-exhaustive", "invariants-exhaustive-over-ceiling", "invariants-empty-input",
+         "sweep-bad-k", "sweep-k-0", "sweep-no-graphs", "sweep-empty-input", "validate-empty-outcome",
+         "tightness-over-cap", "invariants-missing-k", "invariants-bad-k", "unknown-command"],
 )
 def test_bad_input_exits_2(capsys, tmp_path, argv, message):
     empty = tmp_path / "empty"

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from fractions import Fraction
 from random import Random
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from hamcert import (
     CapacityError,
+    FamilySpec,
     Graph,
     Graph6ParseError,
     GraphInputError,
@@ -175,9 +178,9 @@ class TestFamilies:
     def test_parse_family(self):
         assert parse_family("complete:5").kind == "complete"
         spec = parse_family("bipartite:4,4")
-        assert (spec.s, spec.t, spec.n) == (4, 4, 8)
+        assert (spec.args, spec.n) == ((4, 4), 8)
         spec = parse_family("gnp:10,1/2")
-        assert spec.n == 10 and spec.p == Fraction(1, 2)
+        assert spec.n == 10 and spec.args == (Fraction(1, 2),)
         with pytest.raises(GraphInputError):
             parse_family("weird:3")
         with pytest.raises(GraphInputError):
@@ -188,7 +191,7 @@ class TestFamilies:
         for text in ("gnp:8,3/2", "gnp:8,-1/2"):
             with pytest.raises(GraphInputError, match=r"p must lie in \[0,1\]"):
                 parse_family(text)
-        assert parse_family("gnp:8,0").p == 0 and parse_family("gnp:8,1").p == 1
+        assert parse_family("gnp:8,0").args == (0,) and parse_family("gnp:8,1").args == (1,)
         # so is a family too small for its constructor
         for text in ("complete:0", "path:0", "exhaustive:0", "gnp:0,1/2", "bipartite:0,0",
                      "complete:-3", "cycle:2"):
@@ -206,6 +209,42 @@ class TestFamilies:
 
     def test_parse_family_accepts_the_ceiling(self):
         assert parse_family("cycle:62").n == parse_family("bipartite:31,31").n == 62
+
+    @pytest.mark.parametrize(
+        "kind, n, args, error",
+        [
+            ("wheel", 5, (), GraphInputError),  # an unknown kind, refused when built, not mid-sweep
+            ("bipartite", 0, (10, 10), GraphInputError),  # n disagrees with the parts
+            ("bipartite", 2, (-1, 3), GraphInputError),
+            ("bipartite", 5, (5,), GraphInputError),
+            ("bipartite", 5, (2.5, 2.5), GraphInputError),  # sizes a graph cannot be built from
+            ("cycle", 5.0, (), GraphInputError),
+            ("gnp", 8, (), GraphInputError),
+            ("gnp", 8, (Fraction(3, 2),), GraphInputError),
+            ("gnp", 8, (0.5,), GraphInputError),  # a sample needs p's numerator and denominator
+            ("cycle", 6, (1,), GraphInputError),
+            ("cycle", 2, (), GraphInputError),
+            ("complete", 0, (), GraphInputError),
+            ("exhaustive", 8, (), CapacityError),
+            ("path", 63, (), CapacityError),
+        ],
+    )
+    def test_spec_checks_itself(self, kind, n, args, error):
+        with pytest.raises(error):
+            FamilySpec(kind=kind, n=n, args=args)
+
+    def test_spec_counts_and_tasks(self):
+        gnp = FamilySpec("gnp", 8, (Fraction(3, 4),))
+        exhaustive = FamilySpec("exhaustive", 3)
+        bipartite = FamilySpec("bipartite", 3, (1, 2))
+        assert (gnp.seeded, exhaustive.seeded, bipartite.seeded) == (True, False, False)
+        assert (gnp.count(5), exhaustive.count(5), bipartite.count(5)) == (5, 8, 1)
+        assert gnp.task(4, 9) == ("gnp", 8, 3, 4, 9, 4)
+        assert gnp.graph(4, 9).adj == gnp_graph(8, Fraction(3, 4), 9, 4).adj
+        assert exhaustive.task(5, 9) == ("code", 3, 5)
+        assert exhaustive.graph(5).adj == graph_from_code(3, 5).adj
+        assert bipartite.task(0, 9) == ("graph", 3, complete_bipartite(1, 2).adj)
+        assert pickle.loads(pickle.dumps(gnp)) == gnp  # a pool sends specs to its workers
 
     def test_generate_matches_constructors(self):
         assert next(generate(parse_family("cycle:6"))).adj == cycle_graph(6).adj

@@ -76,7 +76,7 @@ class TestRunSweep:
     def test_family_over_cap_rejected_before_first_task(self, monkeypatch):
         monkeypatch.setattr(sweep, "process_task", _no_task)
         cfg = SweepConfig(
-            families=(FamilySpec(kind="cycle", n=5), FamilySpec(kind="gnp", n=24, p=Fraction(9, 10))),
+            families=(FamilySpec(kind="cycle", n=5), FamilySpec(kind="gnp", n=24, args=(Fraction(9, 10),))),
             ks=(1,),
             keep_records=False,
         )
@@ -97,8 +97,14 @@ class TestRunSweep:
 
     @pytest.mark.parametrize(
         "change",
-        [{"ks": ()}, {"ks": (0,)}, {"pair_policy": ("bogus", 0)}, {"pair_policy": ("sample", -1)}],
-        ids=["no-k", "k-zero", "unknown-policy", "negative-sample"],
+        [
+            {"ks": ()},
+            {"ks": (0,)},
+            {"pair_policy": ("bogus", 0)},
+            {"pair_policy": ("sample", -1)},
+            {"families": (parse_family("cycle:5"), parse_family("gnp:8,1/2")), "samples": -3},
+        ],
+        ids=["no-k", "k-zero", "unknown-policy", "negative-sample", "family-selects-nothing"],
     )
     def test_config_that_checks_nothing_rejected_before_first_task(self, change, monkeypatch):
         monkeypatch.setattr(sweep, "process_task", _no_task)
@@ -106,9 +112,20 @@ class TestRunSweep:
         with pytest.raises(GraphInputError):
             run_sweep(replace(cfg, **change))
 
+    def test_bipartite_n_disagreeing_with_its_parts_refused_before_first_task(self, monkeypatch):
+        monkeypatch.setattr(sweep, "process_task", _no_task)
+        with pytest.raises(GraphInputError, match="sum to n=0"):
+            run_sweep(SweepConfig(
+                families=(FamilySpec(kind="cycle", n=5), FamilySpec(kind="bipartite", n=0, args=(10, 10))),
+                ks=(1,),
+            ))
+        cfg = SweepConfig(families=(parse_family("cycle:5"), parse_family("bipartite:10,10")), ks=(1,))
+        with pytest.raises(CapacityError, match="capped at n=16"):
+            run_sweep(cfg)
+
     def test_zero_graphs_is_an_input_error(self):
         cfg = SweepConfig(
-            families=(FamilySpec(kind="gnp", n=6, p=Fraction(1, 2)),), ks=(1,), samples=0
+            families=(FamilySpec(kind="gnp", n=6, args=(Fraction(1, 2),)),), ks=(1,), samples=0
         )
         with pytest.raises(GraphInputError):
             run_sweep(cfg)
@@ -117,7 +134,7 @@ class TestRunSweep:
         extra = complete_bipartite(3, 4)
         cfg = SweepConfig(
             families=(
-                FamilySpec(kind="gnp", n=8, p=Fraction(2, 3)),
+                FamilySpec(kind="gnp", n=8, args=(Fraction(2, 3),)),
                 FamilySpec(kind="exhaustive", n=4),
             ),
             ks=(1, 2),
@@ -301,7 +318,7 @@ class TestPairPolicy:
 
 
 PIN_CFG = SweepConfig(
-    families=(FamilySpec(kind="exhaustive", n=5), FamilySpec(kind="gnp", n=8, p=Fraction(3, 4))),
+    families=(FamilySpec(kind="exhaustive", n=5), FamilySpec(kind="gnp", n=8, args=(Fraction(3, 4),))),
     ks=(1, 2, 3),
     pair_policy=("sample", 2),
     samples=30,
