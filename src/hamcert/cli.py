@@ -19,7 +19,7 @@ from .graph import Graph, complete_bipartite, parse_family
 from .graph6 import parse_graph6, read_graph6_lines, write_graph6
 from .invariants import hypothesis_check, is_hamiltonian_connected
 from .outcomes import outcome_from_json, outcome_to_json
-from .sweep import SweepConfig, parse_pair_policy, run_sweep
+from .sweep import SweepConfig, check_config, parse_pair_policy, run_sweep
 
 TIGHTNESS_CEILING = 12  # hamiltonian-connectivity check is the bottleneck
 
@@ -118,6 +118,7 @@ def cmd_sweep(args) -> int:
         keep_records=args.output is not None,
         input_graphs=input_graphs,
     )
+    check_config(cfg)  # before the output file is opened
 
     def progress(count: int) -> None:
         print(f"... {count} graphs processed", file=sys.stderr)

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
+from functools import lru_cache, reduce
+from itertools import accumulate, combinations
+from operator import or_, xor
 
 from .errors import CapacityError, GraphInputError
 from .graph import Graph, bits, components_masks, mask_of
@@ -107,6 +108,24 @@ def _reversed(mask: int, n: int) -> int:
     return int(format(mask, f"0{n}b")[::-1], 2)
 
 
+def _close(reach: list[int], within: list[int] | tuple[int, ...], nbrs: list[list[int]]) -> list[int]:
+    """Grow each ``reach[v]``, one bit per vertex set, by the reach of v's
+    neighbours, kept within ``within[v]``, until a sweep changes nothing;
+    returns ``reach``, changed in place. Both cut-kernel closures run here."""
+    changed = True
+    while changed:
+        changed = False
+        for v, w in enumerate(within):
+            r = reach[v]
+            for u in nbrs[v]:
+                r |= reach[u]
+            r &= w
+            if r != reach[v]:
+                reach[v] = r
+                changed = True
+    return reach
+
+
 def _scan_cuts(G: Graph, exact: bool) -> tuple[int, int, int, int]:
     """The one cut kernel behind every cut-based oracle; returns
     ``(kappa, num, den, cut)``, with kappa = n - 1 for a complete graph.
@@ -115,21 +134,25 @@ def _scan_cuts(G: Graph, exact: bool) -> tuple[int, int, int, int]:
     disconnected, all at once, on the 2**n-bit planes of
     ``_subset_planes`` taken with vertex v at bit n-1-v, so that a lower
     index R is a lexicographically earlier cut S = V - R. ``reach[v]``
-    starts as the sets whose lowest member is v; each sweep ORs in the
-    reach of v's neighbours and keeps the sets that hold v, until a sweep
-    changes nothing. Then ``reach[v]`` holds the sets in which v is joined
-    to the lowest member, and ``split``, the union of every
+    starts as the sets whose lowest member is v, and ``_close`` grows it
+    within the sets that hold v. Then ``reach[v]`` holds the sets in which
+    v is joined to the lowest member, and ``split``, the union of every
     ``planes[v] ^ reach[v]``, the disconnected ones. kappa is the least
-    |S| whose layer meets ``split``.
+    |S| whose layer meets ``split``. Exact mode then closes within
+    ``rest[v] = planes[v] ^ reach[v]``, from each set's lowest vertex
+    outside the first component; what that leaves unreached makes
+    ``counted``, the sets with three or more components.
 
-    Stage 2 goes up from |S| = kappa and counts the components of G - S
-    for the separating S alone, keeping the least ratio num/den = |S|/c
-    first reached at ``cut``: within a layer the most components, ties to
-    the lowest index, so the witness is the least ratio, then the fewest
-    vertices, then the first sorted vertex list; den is 0 if no S
-    separates. Exact mode stops once |S|/(n-|S|), which bounds every later
-    ratio, reaches the best. Threshold mode decides only whether toughness
-    is at most 1: it stops at a cut with |S| <= c(G-S), or once
+    Stage 2 goes up from |S| = kappa, keeping the least ratio num/den =
+    |S|/c first reached at ``cut``: within a layer the most components,
+    ties to the lowest index, so the witness is the least ratio, then the
+    fewest vertices, then the first sorted vertex list; den is 0 if no S
+    separates. A layer starts at c = 2 on its lowest separating S and
+    counts the components of G - S only for the S in ``counted``, which
+    alone can beat that. Exact mode stops once |S|/(n-|S|), which bounds
+    every later ratio, reaches the best. Threshold mode counts every
+    separating S (``counted`` is ``split``) and decides only whether
+    toughness is at most 1: it stops at a cut with |S| <= c(G-S), or once
     |S| > n/2, and returns before any count if a separator has at most 2
     vertices, since c >= 2 (num, den and cut then name no particular cut).
 
@@ -150,23 +173,14 @@ def _scan_cuts(G: Graph, exact: bool) -> tuple[int, int, int, int]:
     nbrs = [_BYTE_BITS[a & 255] + _HIGH_BYTE_BITS[a >> 8] for a in G.adj]
     # the sets whose lowest member is v: indices from 2**(n-1-v) up to 2**(n-v)
     reach = [((1 << (1 << q)) - 1) << (1 << q) for q in range(n - 1, -1, -1)]
-    changed = True
-    while changed:
-        changed = False
-        for v, p in enumerate(planes):
-            r = reach[v]
-            for u in nbrs[v]:
-                r |= reach[u]
-            r &= p
-            if r != reach[v]:
-                reach[v] = r
-                changed = True
-    split = 0
-    for p, r in zip(planes, reach):
-        split |= p ^ r
+    split = counted = reduce(or_, map(xor, planes, _close(reach, planes, nbrs)), 0)
     kappa = next((s for s in range(n - 1) if split & layers[n - s]), n - 1)
     if not exact and split and kappa <= 2:  # a separator with c >= 2 >= |S|
         return kappa, kappa, 2, 0
+    if exact:
+        rest = list(map(xor, planes, reach))
+        seed = [w & ~low for w, low in zip(rest, accumulate(rest, or_, initial=0))]
+        counted = reduce(or_, map(xor, rest, _close(seed, rest, nbrs)), 0)
 
     h = (n + 1) // 2
     low_mask = (1 << h) - 1
@@ -181,8 +195,9 @@ def _scan_cuts(G: Graph, exact: bool) -> tuple[int, int, int, int]:
         elif (den and num <= den) or 2 * s > n:
             break
         stop = n - s if exact else s  # as many components as settle the layer
-        most = index = 0
-        text = bin(split & layers[n - s])  # the separating S, as R = V - S
+        layer = split & layers[n - s]  # the separating S, as R = V - S
+        most, index = (2, (layer & -layer).bit_length() - 1) if layer else (0, 0)
+        text = bin(layer & counted)
         last = len(text) - 1  # bit i of the layer is text[last - i]
         j = text.rfind("1")
         while j >= 0:

@@ -100,9 +100,10 @@ def parse_pair_policy(text: str) -> PairPolicy:
 # --- task stream ------------------------------------------------------------
 
 
-def _check_capacity(cfg: SweepConfig) -> None:
+def check_config(cfg: SweepConfig) -> None:
     """Reject a sweep past a ceiling, or one that would check nothing,
-    before its first task. Each family spec has checked itself when built."""
+    before its first task; a caller that opens an output for the sweep
+    calls it first too. Each family spec has checked itself when built."""
     if not cfg.ks or min(cfg.ks) < 1:
         raise GraphInputError(f"a sweep needs at least one k, each at least 1, got {cfg.ks}")
     kind, m = cfg.pair_policy
@@ -290,7 +291,7 @@ def run_sweep(
     progress: Callable[[int], None] | None = None,
 ) -> SweepSummary:
     """Drive the sweep; ``sink`` receives one JSON line per record."""
-    _check_capacity(cfg)
+    check_config(cfg)
     summary = SweepSummary()
     started = time.perf_counter()
     tasks = ((idx, *task) for idx, task in enumerate(_task_stream(cfg)))

@@ -209,6 +209,15 @@ class TestSweepCommand:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "capped at n=16" in err
 
+    def test_input_graph_over_cap_leaves_no_output_file(self, capsys, tmp_path):
+        f = tmp_path / "graphs.g6"
+        f.write_text(write_graph6(complete_graph(17)) + "\n")
+        dest = tmp_path / "out.jsonl"
+        code, out, err = run_cli(capsys, "sweep", "--input", str(f), "--k", "1", "--output", str(dest))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "capped at n=16" in err
+        assert not dest.exists()
+
     @pytest.mark.parametrize(
         "flags",
         [

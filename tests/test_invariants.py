@@ -1,6 +1,8 @@
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,8 @@ from hamcert import (
     vertex_connectivity,
     vertex_connectivity_bruteforce,
 )
-from hamcert.invariants import _subset_planes, find_forbidden_naive
+from hamcert.graph import bits, components_masks
+from hamcert.invariants import _close, _subset_planes, find_forbidden_naive
 from hamcert.sweep import quick_hypotheses
 
 
@@ -138,6 +141,12 @@ LARGER_GRAPHS = {
         for n in (9, 11, 13, 16)
         for p in ("1/4", "1/2", "3/4")
     },
+    # least cuts that leave three or more components, decided among the
+    # counted sets alone
+    **{
+        f"gnp-{n}-{p.replace('/', 'of')}-seed{seed}-c{c}": gnp_graph(n, Fraction(p), seed=seed)
+        for n, p, seed, c in ((12, "1/2", 2, 4), (13, "1/3", 1, 5), (14, "1/2", 4, 6), (16, "2/5", 5, 6))
+    },
     "path-16": path_graph(16),
     "cycle-16": cycle_graph(16),
     "bipartite-8-8": complete_bipartite(8, 8),
@@ -192,6 +201,43 @@ class TestScanOracles:
         for R in range(1 << n):
             assert [x >> R & 1 for x in planes] == [R >> v & 1 for v in range(n)]
             assert [x >> R & 1 for x in layers] == [s == R.bit_count() for s in range(n + 1)]
+
+
+MARKED_GRAPHS = [
+    *(G for n in range(1, 6) for G in exhaustive_graphs(n)),
+    *(gnp_graph(n, Fraction(p), seed=seed) for n in (6, 7, 8) for p in ("1/4", "1/2", "3/4")
+      for seed in (1, 2, 3)),
+]
+
+
+def marks_through_close(G):
+    """(split, three, members) for G: the two marks from the kernel's
+    ``_close``, with planes and seeds built here from their definitions,
+    and the vertex mask of each set R, vertex v at bit n-1-v of R."""
+    n = G.n
+    members = [sum(1 << v for v in range(n) if R >> (n - 1 - v) & 1) for R in range(1 << n)]
+    planes = [sum(1 << R for R in range(1 << n) if members[R] >> v & 1) for v in range(n)]
+    nbrs = [list(bits(a)) for a in G.adj]
+
+    def lowest(within):  # bit R of entry v: v is the lowest vertex whose entry holds R
+        return [w & ~reduce(or_, within[:v], 0) for v, w in enumerate(within)]
+
+    rest = [p ^ r for p, r in zip(planes, _close(lowest(planes), planes, nbrs))]
+    more = [w ^ r for w, r in zip(rest, _close(lowest(rest), rest, nbrs))]
+    return reduce(or_, rest, 0), reduce(or_, more, 0), members
+
+
+class TestComponentMarks:
+    def test_marks_bit_by_bit(self):
+        """Closed from each set's lowest member, ``_close`` leaves unreached
+        exactly the sets R with G[R] disconnected; closed again from the
+        lowest vertex outside that first component, exactly those with three
+        or more components."""
+        for G in MARKED_GRAPHS:
+            split, three, members = marks_through_close(G)
+            for R, mask in enumerate(members):
+                c = len(components_masks(G.adj, mask))
+                assert (split >> R & 1, three >> R & 1) == (c >= 2, c >= 3), (G.adj, R)
 
 
 class TestScanMemory:
