@@ -104,12 +104,11 @@ def components_masks(adj: tuple[int, ...], remaining: int) -> list[int]:
     """Connected components of the subgraph induced on ``remaining``,
     ordered by their lowest vertex. A frontier fill: each vertex is
     expanded once, adding its neighbors not yet reached, and the fill
-    stops as soon as no vertex is left to reach. It serves one-off
-    calls at any n: the engine's off-path components, the validator
+    stops as soon as no vertex is left to reach. It is the package's one
+    component fill: the engine's off-path components, the validator
     (through ``components_after_removal``), ``is_connected``, Hamilton
-    backtracking's pruning and the brute-force connectivity oracle. The
-    cut kernel finds its separating sets bit-parallel and counts their
-    components with its own per-scan tables.
+    backtracking's pruning, the brute-force connectivity oracle and the
+    cut kernel's counts, on the sets it has marked bit-parallel.
     """
     out = []
     rem = remaining

@@ -66,17 +66,6 @@ class Toughness:
         return f"{self.value.numerator}/{self.value.denominator}"
 
 
-def _neighbourhood_unions(adj: list[int], first: int, count: int) -> list[int]:
-    """``t[m]`` = the union of ``adj[first + i]`` over the bits i of m, for
-    every m < 2**count; each entry extends the one without m's lowest bit.
-    """
-    table = [0] * (1 << count)
-    for m in range(1, 1 << count):
-        low = m & -m
-        table[m] = table[m ^ low] | adj[first + low.bit_length() - 1]
-    return table
-
-
 @lru_cache(maxsize=None)
 def _subset_planes(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Bit-parallel indicators over the 2**n vertex sets of an n-vertex
@@ -149,19 +138,14 @@ def _scan_cuts(G: Graph, exact: bool) -> tuple[int, int, int, int]:
     fewest vertices, then the first sorted vertex list; den is 0 if no S
     separates. A layer starts at c = 2 on its lowest separating S and
     counts the components of G - S only for the S in ``counted``, which
-    alone can beat that. Exact mode stops once |S|/(n-|S|), which bounds
-    every later ratio, reaches the best. Threshold mode counts every
-    separating S (``counted`` is ``split``) and decides only whether
-    toughness is at most 1: it stops at a cut with |S| <= c(G-S), or once
-    |S| > n/2, and returns before any count if a separator has at most 2
-    vertices, since c >= 2 (num, den and cut then name no particular cut).
-
-    Components are counted a whole BFS layer per step: with h = ceil(n/2),
-    ``lo`` holds the closed-neighbourhood union of every set of vertices
-    below h and ``hi`` of every set from h up, so a component's next layer
-    is two table lookups. The tables (at most 2 * 256 entries) are built
-    once per scan, over the same relabelling; ``components_masks``, which
-    expands one vertex per step, stays the fill for one-off calls.
+    alone can beat that, with ``components_masks`` on G relabelled like
+    the planes, where R is the vertex mask of G - S. Exact mode stops
+    once |S|/(n-|S|), which bounds every later ratio, reaches the best.
+    Threshold mode counts every separating S (``counted`` is ``split``)
+    and decides only whether toughness is at most 1: it stops at a cut
+    with |S| <= c(G-S), or once |S| > n/2, and returns before any count if
+    a separator has at most 2 vertices, since c >= 2 (num, den and cut
+    then name no particular cut).
     """
     n = G.n
     if n > TOUGHNESS_CEILING:
@@ -182,11 +166,7 @@ def _scan_cuts(G: Graph, exact: bool) -> tuple[int, int, int, int]:
         seed = [w & ~low for w, low in zip(rest, accumulate(rest, or_, initial=0))]
         counted = reduce(or_, map(xor, rest, _close(seed, rest, nbrs)), 0)
 
-    h = (n + 1) // 2
-    low_mask = (1 << h) - 1
-    closed = [_reversed(a | 1 << v, n) for v, a in enumerate(G.adj)][::-1]
-    lo = _neighbourhood_unions(closed, 0, h)
-    hi = _neighbourhood_unions(closed, h, n - h)
+    radj = [_reversed(a, n) for a in G.adj][::-1]  # G with vertex v at bit n-1-v
     num = den = best = 0
     for s in range(kappa, n - 1):
         if exact:
@@ -201,17 +181,8 @@ def _scan_cuts(G: Graph, exact: bool) -> tuple[int, int, int, int]:
         last = len(text) - 1  # bit i of the layer is text[last - i]
         j = text.rfind("1")
         while j >= 0:
-            i = rem = last - j
-            c = 0
-            while rem:
-                comp = rem & -rem
-                while True:
-                    grown = (lo[comp & low_mask] | hi[comp >> h]) & rem
-                    if grown == comp:
-                        break
-                    comp = grown
-                rem ^= comp
-                c += 1
+            i = last - j
+            c = len(components_masks(radj, i))
             if c > most:
                 most, index = c, i
                 if c >= stop:

@@ -4,8 +4,8 @@ extraction, validation, and JSONL reporting.
 A sweep with an output sink records one line per (graph, k) with exact
 invariant values from ``cut_scan``. Without a sink it runs in a light mode:
 ``quick_hypotheses`` runs the same cut kernel in its early-exit threshold
-mode, which decides only whether toughness exceeds 1, and caps kappa at
-2 max(ks), so exhaustive 7-vertex runs stay tractable.
+mode, which finds kappa exactly but decides only whether toughness
+exceeds 1, so exhaustive 7-vertex runs stay tractable.
 Both modes pass kappa and "toughness > 1" to one per-k verdict; light mode
 skips the forbidden-pattern search where that verdict is already no.
 
@@ -143,12 +143,12 @@ def _materialize(task: tuple) -> Graph:
 # --- light-mode hypothesis scan ---------------------------------------------
 
 
-def quick_hypotheses(G: Graph, ks: tuple[int, ...]) -> tuple[int, bool]:
-    """(kappa capped at 2 max(ks), toughness > 1) from the threshold mode
-    of the cut kernel behind ``cut_scan``, which stops as soon as it knows
-    whether toughness exceeds 1."""
+def quick_hypotheses(G: Graph) -> tuple[int, bool]:
+    """(kappa, toughness > 1) from the threshold mode of the cut kernel
+    behind ``cut_scan``, which finds kappa exactly and stops as soon as it
+    knows whether toughness exceeds 1."""
     kappa, num, den, _ = _scan_cuts(G, exact=False)
-    return min(kappa, 2 * max(ks, default=0)), not den or num > den
+    return kappa, not den or num > den
 
 
 # --- per-graph processing ---------------------------------------------------
@@ -190,7 +190,7 @@ def process_task(task: tuple, cfg: SweepConfig) -> tuple[list[dict], dict]:
         tough_gt1 = tough.is_infinite or tough.value > 1
     else:
         word = None
-        kappa, tough_gt1 = quick_hypotheses(G, cfg.ks)
+        kappa, tough_gt1 = quick_hypotheses(G)
     records: list[dict] = []
     satisfying: dict[int, int] = {}
     outcomes: dict[str, int] = {}

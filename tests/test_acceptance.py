@@ -341,7 +341,7 @@ def test_criterion_6_corollary_support(capsys):
     for n, p in GNP_POOL:
         for i in range(150):
             G = gnp_graph(n, p, GNP_SEED, i)
-            kappa, tough_gt1 = quick_hypotheses(G, (2,))
+            kappa, tough_gt1 = quick_hypotheses(G)
             if not (kappa >= 4 and tough_gt1):
                 continue  # cheap prefilter before the exact toughness scan
             t = toughness(G)

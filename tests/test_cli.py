@@ -363,8 +363,8 @@ EMPTY_FILE = "<an empty file>"  # replaced by the path of one
         (("invariants", "--k", "1", "--family", "exhaustive:8"), "exceeds the ceiling of 7"),
         (("invariants", "--k", "1", "--input", EMPTY_FILE), "no graph6 lines"),
         (("sweep", "--k", "1,x"), "bad --k list '1,x'"),
-        (("sweep", "--k", "0,1"), "every k must be at least 1"),
-        (("sweep", "--k", "1"), "sweep needs --family or --input"),
+        (("sweep", "--k", "0,1"), "a sweep needs at least one k, each at least 1"),
+        (("sweep", "--k", "1"), "the sweep selected no graphs"),
         (("sweep", "--k", "1", "--input", EMPTY_FILE), "no graph6 lines in "),
         (("validate", "--graph6", K44, "--outcome", EMPTY_FILE), "no outcome record"),
         (("tightness", "--n", "16"), "capped at n=12"),

@@ -158,8 +158,7 @@ LARGER_GRAPHS = {
 
 class TestScanAtLargerN:
     """n = 9-16, where the bit-parallel closure takes several sweeps over
-    planes of 2**n bits, the component-count tables have two non-trivial
-    halves and long diameters give many BFS layers."""
+    planes of 2**n bits and long diameters give many BFS layers."""
 
     @pytest.mark.parametrize("G", LARGER_GRAPHS.values(), ids=LARGER_GRAPHS.keys())
     def test_matches_bruteforce(self, G):
@@ -168,7 +167,7 @@ class TestScanAtLargerN:
         value, _, cut, c = bruteforce_least_cut(G)
         assert not tough.is_infinite
         assert (tough.value, tough.cut, tough.component_count) == (value, frozenset(cut), c)
-        assert quick_hypotheses(G, (1, 2)) == (min(kappa, 4), value > 1)
+        assert quick_hypotheses(G) == (kappa, value > 1)
 
 
 SEEDED_GNP = {
@@ -190,8 +189,7 @@ class TestScanOracles:
         value, _, cut, c = bruteforce_least_cut(G)
         assert not tough.is_infinite
         assert (tough.value, tough.cut, tough.component_count) == (value, frozenset(cut), c)
-        for ks in ((), (1,), (2,), (1, 3)):
-            assert quick_hypotheses(G, ks) == (min(kappa, 2 * max(ks, default=0)), value > 1)
+        assert quick_hypotheses(G) == (kappa, value > 1)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_subset_planes_bit_by_bit(self, n):

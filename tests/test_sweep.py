@@ -31,17 +31,11 @@ from hamcert.engine import ExtractionResult
 from hamcert.errors import EngineError
 from hamcert.sweep import parse_pair_policy, quick_hypotheses
 
-KS_CHOICES = ((1,), (2,), (1, 2, 3), ())
-
 
 def assert_light_matches_exact(G):
-    """quick_hypotheses against kappa, capped at 2 max(ks), and t > 1 from
-    the exact scan, for every k-tuple in KS_CHOICES."""
+    """quick_hypotheses against kappa and t > 1 from the exact scan."""
     kappa, tough = cut_scan(G)
-    tough_gt1 = tough.is_infinite or tough.value > 1
-    for ks in KS_CHOICES:
-        expected = (min(kappa, 2 * max(ks, default=0)), tough_gt1)
-        assert quick_hypotheses(G, ks) == expected, (G.n, G.adj, ks)
+    assert quick_hypotheses(G) == (kappa, tough.is_infinite or tough.value > 1), (G.n, G.adj)
 
 
 class TestQuickHypotheses:
@@ -56,12 +50,9 @@ class TestQuickHypotheses:
             n = rng.randint(7, 10)
             assert_light_matches_exact(graph_from_code(n, rng.getrandbits(n * (n - 1) // 2)))
 
-    def test_empty_ks(self):
-        assert quick_hypotheses(complete_bipartite(3, 3), ()) == (0, False)
-
     def test_capped_before_work(self):
         with pytest.raises(CapacityError):
-            quick_hypotheses(complete_graph(17), (1,))
+            quick_hypotheses(complete_graph(17))
         with pytest.raises(CapacityError):
             vertex_connectivity(complete_graph(17))
         with pytest.raises(CapacityError):
