@@ -53,6 +53,15 @@ class OrientedPath:
             raise EngineError(f"repeated vertex in path {self.seq}")
         object.__setattr__(self, "mask", mask)
 
+    @classmethod
+    def _trusted(cls, seq: tuple[int, ...], mask: int) -> "OrientedPath":
+        """The path ``seq`` with vertex set ``mask``, both from ``_checked``'s
+        walk, which has already refused a repeated vertex."""
+        path = object.__new__(cls)
+        object.__setattr__(path, "seq", seq)
+        object.__setattr__(path, "mask", mask)
+        return path
+
     @cached_property
     def pos(self) -> dict[int, int]:
         return {w: i for i, w in enumerate(self.seq)}
@@ -80,14 +89,6 @@ class OrientedPath:
     def reversed(self) -> "OrientedPath":
         return OrientedPath(tuple(reversed(self.seq)))
 
-    def validate(self, G: Graph) -> None:
-        if len(self.seq) < 1:
-            raise EngineError("empty path")
-        adj = G.adj
-        for a, b in zip(self.seq, self.seq[1:]):
-            if not adj[a] >> b & 1:
-                raise EngineError(f"path uses missing edge {a}-{b}")
-
 
 def initial_path(G: Graph, u: int, v: int) -> OrientedPath:
     """The lexicographically least shortest (u,v)-path. The layer search
@@ -111,21 +112,34 @@ def _checked(
     G: Graph, P: OrientedPath, new: list[int] | tuple[int, ...], splice: str
 ) -> OrientedPath:
     """The spliced path, validated in G, with P's endpoints, strictly
-    longer and keeping every vertex of P; any failure names the splice."""
-    try:
-        result = OrientedPath(tuple(new))
-        result.validate(G)
-    except EngineError as exc:
-        raise EngineError(f"{splice}: {exc}") from None
-    if result.first != P.first or result.last != P.last:
+    longer and keeping every vertex of P; any failure names the splice.
+    One walk along the new sequence refuses a repeated vertex and a
+    missing edge and builds the vertex set; every check reads only the
+    new sequence and P, never how the splice built it."""
+    seq = tuple(new)
+    if not seq:
+        raise EngineError(f"{splice}: empty path")
+    adj = G.adj
+    a = seq[0]
+    mask = 1 << a
+    for b in seq[1:]:
+        bit = 1 << b
+        if mask & bit:
+            raise EngineError(f"{splice}: repeated vertex in path {seq}")
+        if not adj[a] & bit:
+            raise EngineError(f"{splice}: path uses missing edge {a}-{b}")
+        mask |= bit
+        a = b
+    old = P.seq
+    if seq[0] != old[0] or seq[-1] != old[-1]:
         problem = "moved the endpoints"
-    elif len(result) <= len(P):
+    elif len(seq) <= len(old):
         problem = "did not lengthen the path"
-    elif P.mask & ~result.mask:
+    elif P.mask & ~mask:
         problem = "dropped a path vertex"
     else:
-        return result
-    raise EngineError(f"{splice} {problem}: {P.seq} -> {result.seq}")
+        return OrientedPath._trusted(seq, mask)
+    raise EngineError(f"{splice} {problem}: {old} -> {seq}")
 
 
 def via_component_path(

@@ -143,11 +143,6 @@ class TestOrientedPath:
         P = OrientedPath((0, 1, 2)).reversed()
         assert P.seq == (2, 1, 0)
 
-    def test_validate_needs_edges(self):
-        G = build_graph(3, [(0, 1)])
-        with pytest.raises(EngineError):
-            OrientedPath((0, 1, 2)).validate(G)
-
     def test_initial_path_is_shortest(self):
         G = cycle_graph(6)
         assert initial_path(G, 0, 2).seq == (0, 1, 2)
@@ -236,23 +231,54 @@ class TestRotations:
             via_component_path(G, P, 0, 1, (3,))
 
     @pytest.mark.parametrize(
-        "xi, xj, interior, problem",
+        "splice, problem",
         [
-            (0, 2, (3,), "detour moved the endpoints"),
-            (0, 1, (), "detour did not lengthen the path"),
-            (0, 1, (1,), "detour: repeated vertex"),
+            (lambda G, P: via_component_path(G, P, 0, 2, (3,)), "detour moved the endpoints"),
+            (lambda G, P: via_component_path(G, P, 0, 1, ()), "detour did not lengthen the path"),
+            (lambda G, P: via_component_path(G, P, 0, 1, (1,)), "detour: repeated vertex"),
+            (lambda G, P: via_component_path(G, P, 0, 1, (4,)), "detour: path uses missing edge 0-4"),
+            (lambda G, P: engine._checked(G, P, [], "probe"), "probe: empty path"),
         ],
-        ids=["endpoints", "length", "repeat"],
+        ids=["endpoints", "length", "repeat", "missing-edge", "empty"],
     )
-    def test_rotation_checks_name_the_splice(self, xi, xj, interior, problem):
-        G = complete_graph(4)
+    def test_rotation_checks_name_the_splice(self, splice, problem):
+        # every edge of K5 but 0-4
+        G = build_graph(5, [(a, b) for a in range(5) for b in range(a + 1, 5) if (a, b) != (0, 4)])
         with pytest.raises(EngineError, match=problem):
-            via_component_path(G, OrientedPath((0, 1, 2)), xi, xj, interior)
+            splice(G, OrientedPath((0, 1, 2)))
+
+    def test_rotation_check_needs_edges(self):
+        G = build_graph(3, [(0, 1)])
+        with pytest.raises(EngineError, match="probe: path uses missing edge 0-2"):
+            engine._checked(G, OrientedPath((0, 1)), (0, 2, 1), "probe")
 
     def test_rotation_check_catches_a_dropped_vertex(self):
         # longer, same endpoints, every edge present, but 1 is gone
         with pytest.raises(EngineError, match="probe dropped a path vertex"):
             engine._checked(complete_graph(5), OrientedPath((0, 1, 2)), [0, 3, 4, 2], "probe")
+
+    @settings(max_examples=300, deadline=None)
+    @given(_graphs_with_paths())
+    def test_returned_paths_match_the_public_constructor(self, case):
+        """Every path the cascade returns, built from the check's own
+        vertex set, is the path the public constructor builds from its
+        sequence: equal, hashing the same, with the same vertex set and
+        the same navigation."""
+        G, P, k = case
+        for _ in range(G.n):
+            _, step = extend_or_certify(G, k, P)
+            if not isinstance(step, OrientedPath):
+                break
+            seq = step.seq
+            assert step == OrientedPath(seq) and hash(step) == hash(OrientedPath(seq))
+            assert step.mask == mask_of(seq)
+            for i, w in enumerate(seq):
+                assert step.position(w) == i
+                if i + 1 < len(seq):
+                    assert step.succ(w) == seq[i + 1]
+                if i:
+                    assert step.pred(w) == seq[i - 1]
+            P = step
 
 
 class TestRuleOneChoice:
@@ -567,30 +593,97 @@ class TestExtract:
             extract(G, 1, 3, 0)
 
 
+# graph6, k, start path, the a of three_case's one call, rule, rotated path
+THREE_CASE_ROWS = [
+    pytest.param(
+        "J~q}Mj]sNy?", 2, (0, 4, 10, 3, 7, 1, 2, 5, 8, 6), 10,
+        "rule6", (0, 4, 10, 7, 1, 9, 3, 2, 5, 8, 6),
+        id="a-rule6",
+    ),
+    pytest.param(
+        "H|Dzc[k", 2, (5, 1, 6, 3, 4, 8, 2, 0), 2,
+        "rule6", (5, 7, 6, 1, 2, 8, 4, 3, 0),
+        id="b-rule6",
+    ),
+    pytest.param(
+        "LW|rh[A^Qvd]~n", 2, (10, 7, 5, 6, 1, 12, 3, 9, 4, 0, 2, 11), 9,
+        "rule5", (10, 8, 6, 5, 7, 9, 3, 12, 1, 4, 0, 2, 11),
+        id="b-rule5-scan",
+    ),
+]
+
+# graph6, k, u, v, the engine's trace and outcome
+DEEP_RULE_ROWS = [
+    pytest.param(
+        r"I~n\z~BUO", 2, 1, 4,
+        ("rule1",) * 6 + ("rule6", "done"),
+        HamiltonPath((1, 9, 7, 8, 6, 5, 3, 2, 0, 4)),
+        id="rule6-on-hypothesis",
+    ),
+    pytest.param(
+        "HpJ|ZEZ", 2, 2, 6,  # off-hypothesis: kappa = 3
+        ("rule1",) * 5 + ("rule6",),
+        ForbiddenInduced(edge=(7, 1), independent=frozenset({3, 4})),
+        id="rule6-witness",
+    ),
+    pytest.param(
+        "IsaB@Y{^?", 2, 6, 7,
+        ("rule1",) * 3 + ("rule5",),
+        ForbiddenInduced(edge=(1, 6), independent=frozenset({3, 5})),
+        id="rule5-reversed-head-witness",
+    ),
+    pytest.param(
+        "Il[VdYcj?", 1, 6, 1,
+        ("rule1",) * 6 + ("rule5", "done"),
+        HamiltonPath((6, 3, 4, 7, 5, 8, 2, 9, 0, 1)),
+        id="rule5-reversed-head-path",
+    ),
+    pytest.param(
+        "EsZo", 1, 0, 2,
+        ("rule1", "rule1", "rule8", "done"),
+        HamiltonPath((0, 3, 5, 1, 4, 2)),
+        id="rule8-two-neighbour-absorption",
+    ),
+    pytest.param(
+        "GFl_{G", 1, 5, 2,
+        ("rule1",) * 3 + ("rule8",),
+        ForbiddenInduced(edge=(7, 0), independent=frozenset({6})),
+        id="rule8-witness",
+    ),
+    pytest.param(
+        "GBF}Wk", 1, 4, 1,
+        ("rule1",) * 4 + ("rule9",),
+        ToughnessWitness(cut=frozenset({3, 5, 6}), independent=frozenset({0, 1, 2, 4, 7})),
+        id="rule9",
+    ),
+    pytest.param(
+        "Es]O", 1, 3, 0,
+        ("rule1", "rule8"),
+        ForbiddenInduced(edge=(5, 3), independent=frozenset({2})),
+        id="rule8-odd-position-witness",
+    ),
+    pytest.param(
+        "JeVn^i^OYi?", 2, 6, 3,
+        ("rule1",) * 6 + ("rule5",),
+        ForbiddenInduced(edge=(0, 6), independent=frozenset({9, 10})),
+        id="rule5-scan-hit-witness",
+    ),
+    pytest.param(
+        "JZrQkaCv}I_", 2, 0, 10,
+        ("rule1",) * 6 + ("rule7",),
+        ForbiddenInduced(edge=(7, 10), independent=frozenset({2, 6})),
+        id="rule7-witness-k2",
+    ),
+]
+
+
 class TestThreeCaseBranches:
     """The three-case rotation's branches A and B reached through
     extend_or_certify from a constructed start path; each graph is
     off-hypothesis (it has the forbidden pattern). A seeded search over 4.0M
     random start paths (n 7-14, k 1-3) hit branch A 2 times, B 13 and C 11."""
 
-    @pytest.mark.parametrize(
-        "word, k, start, a, rule, path",
-        [
-            (
-                "J~q}Mj]sNy?", 2, (0, 4, 10, 3, 7, 1, 2, 5, 8, 6), 10,
-                "rule6", (0, 4, 10, 7, 1, 9, 3, 2, 5, 8, 6),
-            ),
-            (
-                "H|Dzc[k", 2, (5, 1, 6, 3, 4, 8, 2, 0), 2,
-                "rule6", (5, 7, 6, 1, 2, 8, 4, 3, 0),
-            ),
-            (
-                "LW|rh[A^Qvd]~n", 2, (10, 7, 5, 6, 1, 12, 3, 9, 4, 0, 2, 11), 9,
-                "rule5", (10, 8, 6, 5, 7, 9, 3, 12, 1, 4, 0, 2, 11),
-            ),
-        ],
-        ids=["a-rule6", "b-rule6", "b-rule5-scan"],
-    )
+    @pytest.mark.parametrize("word, k, start, a, rule, path", THREE_CASE_ROWS)
     def test_rotation(self, word, k, start, a, rule, path, monkeypatch):
         G = parse_graph6(word)
         calls = _spy_three_case(monkeypatch)
@@ -604,79 +697,78 @@ class TestDeepRules:
     extract: each expected trace and outcome is the engine's own output,
     and each outcome must pass the independent validator."""
 
-    @pytest.mark.parametrize(
-        "word, k, u, v, trace, outcome",
-        [
-            (
-                r"I~n\z~BUO", 2, 1, 4,
-                ("rule1",) * 6 + ("rule6", "done"),
-                HamiltonPath((1, 9, 7, 8, 6, 5, 3, 2, 0, 4)),
-            ),
-            (
-                "HpJ|ZEZ", 2, 2, 6,  # off-hypothesis: kappa = 3
-                ("rule1",) * 5 + ("rule6",),
-                ForbiddenInduced(edge=(7, 1), independent=frozenset({3, 4})),
-            ),
-            (
-                "IsaB@Y{^?", 2, 6, 7,
-                ("rule1",) * 3 + ("rule5",),
-                ForbiddenInduced(edge=(1, 6), independent=frozenset({3, 5})),
-            ),
-            (
-                "Il[VdYcj?", 1, 6, 1,
-                ("rule1",) * 6 + ("rule5", "done"),
-                HamiltonPath((6, 3, 4, 7, 5, 8, 2, 9, 0, 1)),
-            ),
-            (
-                "EsZo", 1, 0, 2,
-                ("rule1", "rule1", "rule8", "done"),
-                HamiltonPath((0, 3, 5, 1, 4, 2)),
-            ),
-            (
-                "GFl_{G", 1, 5, 2,
-                ("rule1",) * 3 + ("rule8",),
-                ForbiddenInduced(edge=(7, 0), independent=frozenset({6})),
-            ),
-            (
-                "GBF}Wk", 1, 4, 1,
-                ("rule1",) * 4 + ("rule9",),
-                ToughnessWitness(cut=frozenset({3, 5, 6}), independent=frozenset({0, 1, 2, 4, 7})),
-            ),
-            (
-                "Es]O", 1, 3, 0,
-                ("rule1", "rule8"),
-                ForbiddenInduced(edge=(5, 3), independent=frozenset({2})),
-            ),
-            (
-                "JeVn^i^OYi?", 2, 6, 3,
-                ("rule1",) * 6 + ("rule5",),
-                ForbiddenInduced(edge=(0, 6), independent=frozenset({9, 10})),
-            ),
-            (
-                "JZrQkaCv}I_", 2, 0, 10,
-                ("rule1",) * 6 + ("rule7",),
-                ForbiddenInduced(edge=(7, 10), independent=frozenset({2, 6})),
-            ),
-        ],
-        ids=[
-            "rule6-on-hypothesis",
-            "rule6-witness",
-            "rule5-reversed-head-witness",
-            "rule5-reversed-head-path",
-            "rule8-two-neighbour-absorption",
-            "rule8-witness",
-            "rule9",
-            "rule8-odd-position-witness",
-            "rule5-scan-hit-witness",
-            "rule7-witness-k2",
-        ],
-    )
+    @pytest.mark.parametrize("word, k, u, v, trace, outcome", DEEP_RULE_ROWS)
     def test_trace_and_outcome(self, word, k, u, v, trace, outcome):
         G = parse_graph6(word)
         res = extract(G, k, u, v)
         assert res.trace == trace
         assert res.outcome == outcome
         assert validate_outcome(G, k, u, v, res.outcome).accepted
+
+
+def _assert_lemma_premise(G, k, P, x, nbrs):
+    """Steps 1-4 of the lemma that rules 5-9 need n >= 4k + 1 on a graph
+    meeting the hypotheses: x's t path neighbours number at least 2k, x
+    sees none of their successors, the successors are pairwise
+    non-adjacent, so x and the successors form an independent set of at
+    least 2k vertices. Successors are read off the sequence here, not
+    through the engine's helpers."""
+    path = P.seq
+    assert x not in path
+    assert nbrs == tuple(w for w in path if G.has_edge(x, w))
+    assert len(nbrs) >= 2 * k
+    succ = [path[path.index(w) + 1] for w in nbrs if w != path[-1]]
+    assert not any(G.has_edge(x, s) for s in succ)
+    assert not any(G.has_edge(a, b) for i, a in enumerate(succ) for b in succ[i + 1 :])
+    assert len({x, *succ}) >= 2 * k
+
+
+def _spy_singleton_phase(monkeypatch) -> list[tuple]:
+    """Route engine._singleton_phase through a spy that checks the lemma's
+    premise on entry, before the phase runs; the returned list collects
+    the arguments of every call."""
+    entries = []
+    real = engine._singleton_phase
+
+    def spy(*args):
+        _assert_lemma_premise(*args)
+        entries.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(engine, "_singleton_phase", spy)
+    return entries
+
+
+class TestSingletonLemma:
+    """The premise of the lemma's step 4 on every entry to the singleton
+    phase: the deep-rule rows, the three-case rows and a seeded G(n,p)
+    sample. Steps 1-4 follow from the cascade alone, so they must hold
+    on and off the hypotheses."""
+
+    @pytest.mark.parametrize("word, k, u, v, trace, outcome", DEEP_RULE_ROWS)
+    def test_deep_rule_rows(self, word, k, u, v, trace, outcome, monkeypatch):
+        entries = _spy_singleton_phase(monkeypatch)
+        extract(parse_graph6(word), k, u, v)
+        assert entries
+
+    @pytest.mark.parametrize("word, k, start, a, rule, path", THREE_CASE_ROWS)
+    def test_three_case_rows(self, word, k, start, a, rule, path, monkeypatch):
+        entries = _spy_singleton_phase(monkeypatch)
+        extend_or_certify(parse_graph6(word), k, OrientedPath(start))
+        assert len(entries) == 1
+
+    def test_seeded_gnp(self, monkeypatch):
+        """n 7-30, k 1-3 and p 3/16-3/8, the densities where the cascade
+        most often leaves rules 1-4 behind."""
+        rng = random.Random("hamcert-tests:singleton-lemma")
+        ps = [Fraction(i, 16) for i in range(3, 7)]
+        entries = _spy_singleton_phase(monkeypatch)
+        for i in range(2000):
+            n = rng.randint(7, 30)
+            G = gnp_graph(n, rng.choice(ps), 0, i)
+            u, v = rng.sample(range(n), 2)
+            extract(G, rng.randint(1, 3), u, v)
+        assert len(entries) >= 50
 
 
 def _pin_corpus():
