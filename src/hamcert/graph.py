@@ -50,11 +50,11 @@ class Graph:
         for u, m in enumerate(self.adj):
             if m >> self.n:
                 raise GraphInputError(f"vertex {u} has a neighbor >= n")
-            if m & (1 << u):
+            back = 1 << u
+            if m & back:
                 raise GraphInputError(f"loop at vertex {u}")
-        for u in range(self.n):
-            for v in bits(self.adj[u]):
-                if not self.adj[v] & (1 << u):
+            for v in bits(m):
+                if not self.adj[v] & back:
                     raise GraphInputError(f"asymmetric adjacency {u}-{v}")
 
     @property

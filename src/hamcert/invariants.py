@@ -18,8 +18,8 @@ from .errors import CapacityError, GraphInputError
 from .graph import Graph, bits, components_masks, mask_of
 from .outcomes import ForbiddenInduced
 
-# the cut kernel caches 2n + 1 ints of 2^n bits per n and reads neighbour
-# lists from two byte tables; Hamilton backtracking shares the cap
+# the cut kernel caches 3n + 1 ints of at most 2^n bits per n and reads
+# neighbour lists from two byte tables; Hamilton backtracking shares the cap
 TOUGHNESS_CEILING = 16
 
 
@@ -67,23 +67,23 @@ class Toughness:
 
 
 @lru_cache(maxsize=None)
-def _subset_planes(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _subset_planes(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Bit-parallel indicators over the 2**n vertex sets of an n-vertex
     graph, one 2**n-bit int each, bit R standing for the set with mask R:
     ``planes[v]`` has bit R set when v is in R, ``layers[s]`` when R has
-    s members. Built once per n (2n + 1 ints of 2**n / 8 bytes).
+    s members, ``tops[v]`` when v is R's highest member. Built once per n
+    (3n + 1 ints) in one doubling loop: step v adds v to each set of the
+    vertices below v by moving it up 2**v, and the sets so made are
+    ``tops[v]``.
     """
-    size = 1 << n
-    ones = (1 << size) - 1
-    planes = []
+    planes, layers, tops = [], [1], []
     for v in range(n):
-        period = 2 << v  # 2**v clear bits, then 2**v set bits, repeated
-        block = ((1 << (1 << v)) - 1) << (1 << v)
-        planes.append(block * (ones // ((1 << period) - 1)))
-    layers = [1]
-    for v in range(n):  # the sets that take v are those without it, moved up by 2**v
-        layers = [a | b << (1 << v) for a, b in zip(layers + [0], [0] + layers)]
-    return tuple(planes), tuple(layers)
+        w = 1 << v
+        top = ((1 << w) - 1) << w
+        planes = [p | p << w for p in planes] + [top]
+        layers = [a | b << w for a, b in zip(layers + [0], [0] + layers)]
+        tops.append(top)
+    return tuple(planes), tuple(layers), tuple(tops)
 
 
 # the set bit positions of every byte value, and of every byte value moved
@@ -152,11 +152,9 @@ def _scan_cuts(G: Graph, exact: bool) -> tuple[int, int, int, int]:
         raise CapacityError(
             f"exact cut scan is capped at n={TOUGHNESS_CEILING}, got n={n}"
         )
-    planes, layers = _subset_planes(n)
-    planes = planes[::-1]  # vertex v at bit n-1-v
+    planes, layers, tops = _subset_planes(n)
+    planes, reach = planes[::-1], list(tops[::-1])  # vertex v at bit n-1-v
     nbrs = [_BYTE_BITS[a & 255] + _HIGH_BYTE_BITS[a >> 8] for a in G.adj]
-    # the sets whose lowest member is v: indices from 2**(n-1-v) up to 2**(n-v)
-    reach = [((1 << (1 << q)) - 1) << (1 << q) for q in range(n - 1, -1, -1)]
     split = counted = reduce(or_, map(xor, planes, _close(reach, planes, nbrs)), 0)
     kappa = next((s for s in range(n - 1) if split & layers[n - s]), n - 1)
     if not exact and split and kappa <= 2:  # a separator with c >= 2 >= |S|

@@ -101,11 +101,13 @@ def parse_pair_policy(text: str) -> PairPolicy:
 
 
 def check_config(cfg: SweepConfig) -> None:
-    """Reject a sweep past a ceiling, or one that would check nothing,
-    before its first task; a caller that opens an output for the sweep
-    calls it first too. Each family spec has checked itself when built."""
+    """Reject a sweep past a ceiling, one that would check nothing, or one
+    that repeats a k, before its first task; a caller that opens an output
+    for the sweep calls it first too. A family spec checks itself when built."""
     if not cfg.ks or min(cfg.ks) < 1:
         raise GraphInputError(f"a sweep needs at least one k, each at least 1, got {cfg.ks}")
+    if repeated := sorted({k for k in cfg.ks if cfg.ks.count(k) > 1}):
+        raise GraphInputError(f"each k is judged once, but ks={cfg.ks} repeats k={repeated}")
     kind, m = cfg.pair_policy
     if kind not in ("all", "sample", "none") or m < 0:
         raise GraphInputError(f"bad pair policy {cfg.pair_policy!r}")

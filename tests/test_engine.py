@@ -1,7 +1,9 @@
 import hashlib
 import inspect
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -758,17 +760,92 @@ class TestSingletonLemma:
         assert len(entries) == 1
 
     def test_seeded_gnp(self, monkeypatch):
-        """n 7-30, k 1-3 and p 3/16-3/8, the densities where the cascade
-        most often leaves rules 1-4 behind."""
-        rng = random.Random("hamcert-tests:singleton-lemma")
-        ps = [Fraction(i, 16) for i in range(3, 7)]
         entries = _spy_singleton_phase(monkeypatch)
-        for i in range(2000):
-            n = rng.randint(7, 30)
-            G = gnp_graph(n, rng.choice(ps), 0, i)
-            u, v = rng.sample(range(n), 2)
-            extract(G, rng.randint(1, 3), u, v)
+        for G, k, u, v in _deep_sample():
+            extract(G, k, u, v)
         assert len(entries) >= 50
+
+
+def _deep_sample():
+    """2,000 seeded extractions with n 7-30, k 1-3 and p 3/16-3/8, the
+    densities where the cascade most often leaves rules 1-4 behind."""
+    rng = random.Random("hamcert-tests:singleton-lemma")
+    ps = [Fraction(i, 16) for i in range(3, 7)]
+    for i in range(2000):
+        n = rng.randint(7, 30)
+        G = gnp_graph(n, rng.choice(ps), 0, i)
+        u, v = rng.sample(range(n), 2)
+        yield G, rng.randint(1, 3), u, v
+
+
+def _spy_witness_sites(monkeypatch) -> Counter:
+    """Route engine._forbidden_or_bug through a spy that asserts, on every
+    call, that its candidate list is pairwise non-adjacent; the returned
+    Counter counts the calls per site. Spies on the singleton phase and
+    the parity scan tell the sites apart: rule 4 runs before the phase,
+    rule 5 inside a scan of P or of its reversed head, rule 6 on an edge
+    at x, and rule 8 on an edge from an outside vertex to a successor of
+    x's path neighbours or, failing that, to the odd-position set."""
+    sites = Counter()
+    phase = {}
+    real_phase, real_scan, real_forbidden = (
+        engine._singleton_phase, engine._scan_segment, engine._forbidden_or_bug
+    )
+
+    def spy_phase(G, k, P, x, nbrs):
+        path = P.seq
+        succ = {path[path.index(w) + 1] for w in nbrs if w != path[-1]}
+        phase.update(P=P, x=x, succ=succ, scan=None)
+        try:
+            return real_phase(G, k, P, x, nbrs)
+        finally:
+            phase.clear()
+
+    def spy_scan(G, k, P, *rest):
+        phase["scan"] = "rule5" if P is phase["P"] else "rule5-reversed-head"
+        try:
+            return real_scan(G, k, P, *rest)
+        finally:
+            phase["scan"] = None
+
+    def spy_forbidden(G, k, edge, candidates):
+        assert not any(G.has_edge(a, b) for a, b in combinations(candidates, 2))
+        if not phase:
+            sites["rule4"] += 1
+        elif phase["scan"]:
+            sites[phase["scan"]] += 1
+        elif edge[0] == phase["x"]:
+            sites["rule6"] += 1
+        else:
+            sites["rule8-successor" if edge[1] in phase["succ"] else "rule8-odd-position"] += 1
+        return real_forbidden(G, k, edge, candidates)
+
+    monkeypatch.setattr(engine, "_singleton_phase", spy_phase)
+    monkeypatch.setattr(engine, "_scan_segment", spy_scan)
+    monkeypatch.setattr(engine, "_forbidden_or_bug", spy_forbidden)
+    return sites
+
+
+class TestWitnessCandidates:
+    """Every guaranteed forbidden witness is drawn from a pairwise
+    non-adjacent candidate list, so ``_pick_independent``'s fallback can
+    change no pick there: over the deep-rule rows, the three-case rows
+    and the seeded sample above, which between them reach each call
+    site. Rule 7, whose candidates may hold an edge, is not among them."""
+
+    def test_rows(self, monkeypatch):
+        sites = _spy_witness_sites(monkeypatch)
+        for word, k, u, v, *_ in (row.values for row in DEEP_RULE_ROWS):
+            extract(parse_graph6(word), k, u, v)
+        for word, k, start, *_ in (row.values for row in THREE_CASE_ROWS):
+            extend_or_certify(parse_graph6(word), k, OrientedPath(start))
+        assert {"rule5-reversed-head", "rule6", "rule8-successor", "rule8-odd-position"} <= set(sites)
+
+    def test_seeded_gnp(self, monkeypatch):
+        sites = _spy_witness_sites(monkeypatch)
+        for G, k, u, v in _deep_sample():
+            extract(G, k, u, v)
+        assert sites["rule4"] and sites["rule5"]
 
 
 def _pin_corpus():

@@ -191,14 +191,15 @@ class TestScanOracles:
         assert (tough.value, tough.cut, tough.component_count) == (value, frozenset(cut), c)
         assert quick_hypotheses(G) == (kappa, value > 1)
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_subset_planes_bit_by_bit(self, n):
-        planes, layers = _subset_planes(n)
-        assert len(planes) == n and len(layers) == n + 1
-        assert all(x >> (1 << n) == 0 for x in planes + layers)
+        planes, layers, tops = _subset_planes(n)
+        assert len(planes) == len(tops) == n and len(layers) == n + 1
+        assert all(x >> (1 << n) == 0 for x in planes + layers + tops)
         for R in range(1 << n):
             assert [x >> R & 1 for x in planes] == [R >> v & 1 for v in range(n)]
             assert [x >> R & 1 for x in layers] == [s == R.bit_count() for s in range(n + 1)]
+            assert [x >> R & 1 for x in tops] == [v == R.bit_length() - 1 for v in range(n)]
 
 
 MARKED_GRAPHS = [

@@ -94,8 +94,9 @@ class TestRunSweep:
             {"pair_policy": ("bogus", 0)},
             {"pair_policy": ("sample", -1)},
             {"families": (parse_family("cycle:5"), parse_family("gnp:8,1/2")), "samples": -3},
+            {"ks": (1, 1)},
         ],
-        ids=["no-k", "k-zero", "unknown-policy", "negative-sample", "family-selects-nothing"],
+        ids=["no-k", "k-zero", "unknown-policy", "negative-sample", "family-selects-nothing", "repeated-k"],
     )
     def test_config_that_checks_nothing_rejected_before_first_task(self, change, monkeypatch):
         monkeypatch.setattr(sweep, "process_task", _no_task)
