@@ -25,7 +25,7 @@ from functools import cached_property
 
 from .errors import EngineError, GraphInputError
 from .graph import Graph, bits, components_masks, is_connected, mask_of
-from .invariants import _independent_subset
+from .invariants import forbidden_at
 from .outcomes import (
     ForbiddenInduced,
     HamiltonPath,
@@ -56,7 +56,8 @@ class OrientedPath:
     @classmethod
     def _trusted(cls, seq: tuple[int, ...], mask: int) -> "OrientedPath":
         """The path ``seq`` with vertex set ``mask``, both from ``_checked``'s
-        walk, which has already refused a repeated vertex."""
+        walk, which has already refused a repeated vertex, or from a path
+        that ``reversed`` turns round."""
         path = object.__new__(cls)
         object.__setattr__(path, "seq", seq)
         object.__setattr__(path, "mask", mask)
@@ -87,7 +88,7 @@ class OrientedPath:
         return self.seq[self.pos[w] - 1]
 
     def reversed(self) -> "OrientedPath":
-        return OrientedPath(tuple(reversed(self.seq)))
+        return OrientedPath._trusted(self.seq[::-1], self.mask)
 
 
 def initial_path(G: Graph, u: int, v: int) -> OrientedPath:
@@ -235,41 +236,8 @@ def _path_through_component(G: Graph, comp_mask: int, a: int, b: int) -> tuple[i
     return tuple(reversed(out))
 
 
-def _pick_independent(G: Graph, k: int, ordered: list[int]) -> frozenset[int] | None:
-    """First k pairwise non-adjacent vertices of ``ordered``; falls back
-    to a full independent-subset search over the same candidates."""
-    chosen: list[int] = []
-    for w in ordered:
-        if all(not G.has_edge(w, c) for c in chosen):
-            chosen.append(w)
-            if len(chosen) == k:
-                return frozenset(chosen)
-    found = _independent_subset(G, mask_of(ordered), k)
-    if found is None:
-        return None
-    return frozenset(bits(found))
-
-
-def _forbidden(
-    G: Graph, k: int, edge: tuple[int, int], candidates: list[int]
-) -> ForbiddenInduced | None:
-    """Assemble a forbidden-pattern witness: the given edge plus an
-    independent k-set drawn from candidates, filtered for the witness
-    invariants (distinctness and non-adjacency to the edge)."""
-    z, w = edge
-    usable = [
-        c
-        for c in candidates
-        if c not in (z, w) and not G.has_edge(c, z) and not G.has_edge(c, w)
-    ]
-    indep = _pick_independent(G, k, usable)
-    if indep is None:
-        return None
-    return ForbiddenInduced(edge=edge, independent=indep)
-
-
 def _forbidden_or_bug(G, k, edge, candidates) -> ForbiddenInduced:
-    out = _forbidden(G, k, edge, candidates)
+    out = forbidden_at(G, k, edge, candidates, mask_of(candidates))
     if out is None:
         raise EngineError(
             f"failed to assemble a guaranteed forbidden witness at edge {edge}"
@@ -395,7 +363,7 @@ def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int, nbrs: tuple[int,
     # rule 7: the odd-position set must be independent
     edge = _independent_violation(G, s_prime)
     if edge is not None:
-        witness = _forbidden(G, k, edge, wide_candidates)
+        witness = forbidden_at(G, k, edge, wide_candidates, mask_of(wide_candidates))
         if witness is not None:
             return "rule7", witness
         return "rule7", Stalled(

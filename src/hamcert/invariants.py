@@ -8,6 +8,7 @@ toughness comparisons never touch floating point.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -212,33 +213,61 @@ def toughness(G: Graph) -> Toughness:
 # --- forbidden induced pattern ---------------------------------------------
 
 
-def _independent_subset(G: Graph, candidates: int, k: int) -> int | None:
-    """Lowest-first backtracking search for an independent k-set inside
-    the candidate mask; returns a mask or None.
+def _first_independent(
+    adj: tuple[int, ...], k: int, order: Sequence[int], allowed: int, i: int = 0
+) -> int | None:
+    """The first independent k-set, as a mask, among the vertices of
+    ``allowed``, all of which appear in ``order`` at position i or later:
+    include-first backtracking in ``order``, pruned once fewer than k
+    vertices are left. Its first leaf takes each allowed vertex that sees
+    none taken before it, so wherever that greedy pick reaches k vertices
+    it is the answer; the search is complete, so None means no k-set exists.
     """
-    if k == 0:
+    if not k:
         return 0
-    if candidates.bit_count() < k:
+    if allowed.bit_count() < k:
         return None
-    v = (candidates & -candidates).bit_length() - 1
-    rest = candidates & ~(1 << v)
-    taken = _independent_subset(G, rest & ~G.adj[v], k - 1)
+    v = order[i]
+    while not allowed >> v & 1:
+        i += 1
+        v = order[i]
+    rest = allowed & ~(1 << v)
+    taken = _first_independent(adj, k - 1, order, rest & ~adj[v], i + 1)
     if taken is not None:
-        return taken | (1 << v)
-    return _independent_subset(G, rest, k)
+        return taken | 1 << v
+    return _first_independent(adj, k, order, rest, i + 1)
+
+
+def forbidden_at(
+    G: Graph, k: int, edge: tuple[int, int], order: Sequence[int], allowed: int
+) -> ForbiddenInduced | None:
+    """The edge plus the first independent k-set in ``order`` drawn from
+    ``allowed``, a mask of vertices of ``order``, less the edge's ends and
+    their neighbours; None if there is none. The one forbidden-witness
+    builder: ``find_induced_p2_plus_kp1`` calls it once per edge with every
+    vertex, lowest first, and the engine at every rule that certifies this
+    pattern with that rule's candidate list.
+    """
+    z, w = edge
+    adj = G.adj
+    found = _first_independent(adj, k, order, allowed & ~(adj[z] | adj[w] | 1 << z | 1 << w))
+    if found is None:
+        return None
+    return ForbiddenInduced(edge=edge, independent=frozenset(bits(found)))
 
 
 def find_induced_p2_plus_kp1(G: Graph, k: int) -> ForbiddenInduced | None:
-    """Search for an induced pattern: one edge (z,w) plus an independent
-    k-set avoiding the closed neighborhoods of z and w.
+    """Search for an induced pattern: the first edge (z,w) in ``G.edges()``
+    order with an independent k-set avoiding the closed neighborhoods of
+    z and w, and its lowest-first such set.
     """
     if k < 1:
         raise GraphInputError("k must be at least 1")
-    for z, w in G.edges():
-        candidates = G.full_mask & ~G.adj[z] & ~G.adj[w] & ~(1 << z) & ~(1 << w)
-        found = _independent_subset(G, candidates, k)
+    order, full = range(G.n), G.full_mask
+    for edge in G.edges():
+        found = forbidden_at(G, k, edge, order, full)
         if found is not None:
-            return ForbiddenInduced(edge=(z, w), independent=frozenset(bits(found)))
+            return found
     return None
 
 

@@ -547,7 +547,7 @@ class TestExtract:
         as Stalled, and the trace names that rule; nothing rescues it."""
         G = parse_graph6("ELr?")
         assert extract(G, 1, 2, 3).trace == ("rule1", "rule7")
-        monkeypatch.setattr(engine, "_forbidden", lambda *args: None)
+        monkeypatch.setattr(engine, "forbidden_at", lambda *args: None)
         res = extract(G, 1, 2, 3)
         assert isinstance(res.outcome, Stalled)
         assert res.trace == ("rule1", "rule7")
@@ -590,7 +590,7 @@ class TestExtract:
         exists, so failing to assemble one is an engine bug."""
         G = parse_graph6("Es]O")
         assert extract(G, 1, 3, 0).trace == ("rule1", "rule8")
-        monkeypatch.setattr(engine, "_forbidden", lambda *args: None)
+        monkeypatch.setattr(engine, "forbidden_at", lambda *args: None)
         with pytest.raises(EngineError, match="guaranteed forbidden witness"):
             extract(G, 1, 3, 0)
 
@@ -828,9 +828,9 @@ def _spy_witness_sites(monkeypatch) -> Counter:
 
 class TestWitnessCandidates:
     """Every guaranteed forbidden witness is drawn from a pairwise
-    non-adjacent candidate list, so ``_pick_independent``'s fallback can
-    change no pick there: over the deep-rule rows, the three-case rows
-    and the seeded sample above, which between them reach each call
+    non-adjacent candidate list, so the witness is the first k usable
+    candidates in list order: over the deep-rule rows, the three-case
+    rows and the seeded sample above, which between them reach each call
     site. Rule 7, whose candidates may hold an edge, is not among them."""
 
     def test_rows(self, monkeypatch):

@@ -28,8 +28,15 @@ from hamcert import (
     vertex_connectivity,
     vertex_connectivity_bruteforce,
 )
-from hamcert.graph import bits, components_masks
-from hamcert.invariants import _close, _subset_planes, find_forbidden_naive
+from hamcert.graph import bits, components_masks, mask_of
+from hamcert.invariants import (
+    _close,
+    _first_independent,
+    _subset_planes,
+    find_forbidden_naive,
+    forbidden_at,
+)
+from hamcert.outcomes import ForbiddenInduced
 from hamcert.sweep import quick_hypotheses
 
 
@@ -301,6 +308,82 @@ class TestForbiddenPattern:
     def test_rejects_bad_k(self):
         with pytest.raises(GraphInputError):
             find_induced_p2_plus_kp1(cycle_graph(4), 0)
+
+
+def _greedy_pick(G, k, order):
+    """Each vertex of ``order`` that sees none taken before it, until k."""
+    chosen = []
+    for w in order:
+        if not any(G.has_edge(w, c) for c in chosen):
+            chosen.append(w)
+            if len(chosen) == k:
+                return frozenset(chosen)
+    return None
+
+
+def _independent(G, vertices):
+    return not any(G.has_edge(a, b) for a, b in combinations(vertices, 2))
+
+
+@st.composite
+def _graphs_with_orders(draw):
+    """A graph on 1-9 vertices, k 1-4, and an ordered list of distinct
+    candidates: a random prefix of a random permutation."""
+    n = draw(st.integers(1, 9))
+    G = graph_from_code(n, draw(st.integers(0, (1 << n * (n - 1) // 2) - 1)))
+    order = draw(st.permutations(range(n)))
+    return G, draw(st.integers(1, 4)), order[: draw(st.integers(0, n))]
+
+
+class TestFirstIndependent:
+    """The one independent-set search behind every forbidden witness,
+    against a greedy pick and ``itertools.combinations``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_graphs_with_orders())
+    def test_greedy_then_complete(self, case):
+        G, k, order = case
+        found = _first_independent(G.adj, k, order, mask_of(order))
+        greedy = _greedy_pick(G, k, order)
+        exists = any(_independent(G, c) for c in combinations(order, k))
+        assert (found is not None) == exists
+        if greedy is not None:
+            assert frozenset(bits(found)) == greedy
+        if found is not None:
+            members = list(bits(found))
+            assert len(members) == k and set(members) <= set(order)
+            assert _independent(G, members)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_graphs_with_orders())
+    def test_find_matches_bruteforce(self, case):
+        """The first edge in ``G.edges()`` order that has an independent
+        k-set off its closed neighbourhoods, with the lexicographically
+        first such set."""
+        G, k, _ = case
+        expected = None
+        for z, w in G.edges():
+            far = [c for c in range(G.n) if c not in (z, w)
+                   and not G.has_edge(c, z) and not G.has_edge(c, w)]
+            first = next((c for c in combinations(far, k) if _independent(G, c)), None)
+            if first is not None:
+                expected = ForbiddenInduced(edge=(z, w), independent=frozenset(first))
+                break
+        assert find_induced_p2_plus_kp1(G, k) == expected
+
+    def test_pick_in_candidate_order_when_greedy_fails(self):
+        """K_{1,3} with centre 0, plus the edge 4-5. In the order 0, 3, 2, 1
+        the greedy takes 0 and then finds every leaf adjacent to it; the
+        search goes on to the first set in that order, {3, 2}, where a
+        lowest-first search would give {1, 2}."""
+        G = build_graph(6, [(0, 1), (0, 2), (0, 3), (4, 5)])
+        order = [0, 3, 2, 1]
+        assert _greedy_pick(G, 2, order) is None
+        assert forbidden_at(G, 2, (4, 5), order, mask_of(order)) == ForbiddenInduced(
+            edge=(4, 5), independent=frozenset({2, 3})
+        )
+        assert forbidden_at(G, 2, (4, 5), [1, 2, 3], 0b1110).independent == {1, 2}
+        assert forbidden_at(G, 4, (4, 5), order, mask_of(order)) is None
 
 
 class TestHamiltonPath:
