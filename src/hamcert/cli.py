@@ -74,13 +74,13 @@ def cmd_extract(args) -> int:
     G = _load_graph(args)
     res = extract(G, args.k, args.u, args.v)
     line = outcome_to_json(res.outcome, args.k, args.u, args.v)
-    report = validate_outcome(G, args.k, args.u, args.v, res.outcome)
     print(f"outcome={res.outcome.kind}")
     print(f"trace={' -> '.join(res.trace)}")
     print(line)
     if res.outcome.kind == "stalled":
         print("validated=n/a (no certificate emitted)")
     else:
+        report = validate_outcome(G, args.k, args.u, args.v, res.outcome)
         print(f"validated={report.accepted}" + ("" if report.accepted else f" ({report.code})"))
     if args.output:
         with open(args.output, "w") as fh:

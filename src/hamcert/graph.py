@@ -107,8 +107,7 @@ def components_masks(adj: tuple[int, ...], remaining: int) -> list[int]:
     stops as soon as no vertex is left to reach. It is the package's one
     component fill: the engine's off-path components, the validator
     (through ``components_after_removal``), ``is_connected``, Hamilton
-    backtracking's pruning, the brute-force connectivity oracle and the
-    cut kernel's counts, on the sets it has marked bit-parallel.
+    backtracking's pruning and the brute-force connectivity oracle.
     """
     out = []
     rem = remaining

@@ -101,11 +101,13 @@ def _reversed(mask: int, n: int) -> int:
 def _close(reach: list[int], within: list[int] | tuple[int, ...], nbrs: list[list[int]]) -> list[int]:
     """Grow each ``reach[v]``, one bit per vertex set, by the reach of v's
     neighbours, kept within ``within[v]``, until a sweep changes nothing;
-    returns ``reach``, changed in place. Both cut-kernel closures run here."""
+    returns ``reach``, changed in place. Every cut-kernel closure runs here."""
     changed = True
     while changed:
         changed = False
         for v, w in enumerate(within):
+            if not w:  # reach[v] lies within w, so it stays empty
+                continue
             r = reach[v]
             for u in nbrs[v]:
                 r |= reach[u]
@@ -120,33 +122,33 @@ def _scan_cuts(G: Graph, exact: bool) -> tuple[int, int, int, int]:
     """The one cut kernel behind every cut-based oracle; returns
     ``(kappa, num, den, cut)``, with kappa = n - 1 for a complete graph.
 
-    Stage 1 finds every vertex set R whose induced graph G[R] is
-    disconnected, all at once, on the 2**n-bit planes of
-    ``_subset_planes`` taken with vertex v at bit n-1-v, so that a lower
-    index R is a lexicographically earlier cut S = V - R. ``reach[v]``
-    starts as the sets whose lowest member is v, and ``_close`` grows it
-    within the sets that hold v. Then ``reach[v]`` holds the sets in which
-    v is joined to the lowest member, and ``split``, the union of every
-    ``planes[v] ^ reach[v]``, the disconnected ones. kappa is the least
-    |S| whose layer meets ``split``. Exact mode then closes within
-    ``rest[v] = planes[v] ^ reach[v]``, from each set's lowest vertex
-    outside the first component; what that leaves unreached makes
-    ``counted``, the sets with three or more components.
+    Stage 1 counts the components of G[R] for every vertex set R at once,
+    on the 2**n-bit planes of ``_subset_planes`` taken with vertex v at
+    bit n-1-v, so that a lower index R is a lexicographically earlier cut
+    S = V - R. ``rest[v]`` starts as the sets that hold v and ``reach[v]``
+    as those whose lowest member is v; ``_close`` grows ``reach[v]``
+    within ``rest[v]``, and then ``reach[v]`` holds the sets in which v
+    lies in the component of the lowest vertex left. Each such closure
+    peels that component off: the sets with a vertex left, the union of
+    every ``rest[v] ^ reach[v]``, make the next mark, and the next
+    closure runs within those ``rest[v]`` from each set's lowest vertex
+    left. So ``marks[c - 2]`` is the sets whose G[R] has at least c
+    components, ``marks[0]`` the disconnected ones, and kappa is the least
+    |S| whose layer meets it.
 
     Stage 2 goes up from |S| = kappa, keeping the least ratio num/den =
-    |S|/c first reached at ``cut``: within a layer the most components,
-    ties to the lowest index, so the witness is the least ratio, then the
-    fewest vertices, then the first sorted vertex list; den is 0 if no S
-    separates. A layer starts at c = 2 on its lowest separating S and
-    counts the components of G - S only for the S in ``counted``, which
-    alone can beat that, with ``components_masks`` on G relabelled like
-    the planes, where R is the vertex mask of G - S. Exact mode stops
-    once |S|/(n-|S|), which bounds every later ratio, reaches the best.
-    Threshold mode counts every separating S (``counted`` is ``split``)
-    and decides only whether toughness is at most 1: it stops at a cut
-    with |S| <= c(G-S), or once |S| > n/2, and returns before any count if
-    a separator has at most 2 vertices, since c >= 2 (num, den and cut
-    then name no particular cut).
+    |S|/c first reached at ``cut``. A layer's most components c is one
+    more than the number of marks it meets, and its witness the lowest
+    index among its sets in ``marks[c - 2]``, so the witness is the least
+    ratio, then the fewest vertices, then the first sorted vertex list;
+    den is 0 if no S separates. Exact mode peels until no set has a vertex
+    left and stops once |S|/(n-|S|), which bounds every later ratio,
+    reaches the best. Threshold mode decides only whether toughness is at
+    most 1: it returns before any peel if a separator has at most 2
+    vertices, since c >= 2 (num, den and cut then name no particular
+    cut), peels at most n // 2 - 1 marks, as a layer it visits has
+    |S| <= n/2 and so never needs more components than that, and stops at
+    a cut with |S| <= c(G-S), or once |S| > n/2.
     """
     n = G.n
     if n > TOUGHNESS_CEILING:
@@ -154,18 +156,18 @@ def _scan_cuts(G: Graph, exact: bool) -> tuple[int, int, int, int]:
             f"exact cut scan is capped at n={TOUGHNESS_CEILING}, got n={n}"
         )
     planes, layers, tops = _subset_planes(n)
-    planes, reach = planes[::-1], list(tops[::-1])  # vertex v at bit n-1-v
+    rest, reach = planes[::-1], list(tops[::-1])  # vertex v at bit n-1-v
     nbrs = [_BYTE_BITS[a & 255] + _HIGH_BYTE_BITS[a >> 8] for a in G.adj]
-    split = counted = reduce(or_, map(xor, planes, _close(reach, planes, nbrs)), 0)
-    kappa = next((s for s in range(n - 1) if split & layers[n - s]), n - 1)
-    if not exact and split and kappa <= 2:  # a separator with c >= 2 >= |S|
+    marks = [reduce(or_, map(xor, rest, _close(reach, rest, nbrs)), 0)]
+    kappa = next((s for s in range(n - 1) if marks[0] & layers[n - s]), n - 1)
+    if not exact and marks[0] and kappa <= 2:  # a separator with c >= 2 >= |S|
         return kappa, kappa, 2, 0
-    if exact:
-        rest = list(map(xor, planes, reach))
-        seed = [w & ~low for w, low in zip(rest, accumulate(rest, or_, initial=0))]
-        counted = reduce(or_, map(xor, rest, _close(seed, rest, nbrs)), 0)
+    peel = n - 1 if exact else n // 2 - 1  # marks for up to n or n/2 components
+    while marks[-1] and len(marks) < peel:
+        rest = list(map(xor, rest, reach))
+        reach = [w & ~low for w, low in zip(rest, accumulate(rest, or_, initial=0))]
+        marks.append(reduce(or_, map(xor, rest, _close(reach, rest, nbrs)), 0))
 
-    radj = [_reversed(a, n) for a in G.adj][::-1]  # G with vertex v at bit n-1-v
     num = den = best = 0
     for s in range(kappa, n - 1):
         if exact:
@@ -173,23 +175,12 @@ def _scan_cuts(G: Graph, exact: bool) -> tuple[int, int, int, int]:
                 break
         elif (den and num <= den) or 2 * s > n:
             break
-        stop = n - s if exact else s  # as many components as settle the layer
-        layer = split & layers[n - s]  # the separating S, as R = V - S
-        most, index = (2, (layer & -layer).bit_length() - 1) if layer else (0, 0)
-        text = bin(layer & counted)
-        last = len(text) - 1  # bit i of the layer is text[last - i]
-        j = text.rfind("1")
-        while j >= 0:
-            i = last - j
-            c = len(components_masks(radj, i))
-            if c > most:
-                most, index = c, i
-                if c >= stop:
-                    break
-            j = text.rfind("1", 0, j)
-        if not den or s * den < num * most:
-            num, den, best = s, most, index
-    cut = _reversed(((1 << n) - 1) ^ best, n) if den else 0
+        layer = layers[n - s]  # every S of s vertices, as R = V - S
+        # the layer's most components: it meets marks[c - 2] but not marks[c - 1]
+        c = next((c for c, m in enumerate(marks, 1) if not layer & m), len(marks) + 1)
+        if c > 1 and (not den or s * den < num * c):
+            num, den, best = s, c, layer & marks[c - 2]
+    cut = _reversed(((1 << n) - 1) ^ ((best & -best).bit_length() - 1), n) if den else 0
     return kappa, num, den, cut
 
 
@@ -316,8 +307,6 @@ def hamilton_path_between(G: Graph, u: int, v: int) -> list[int] | None:
         return bool(adj[v] & remaining & ~vbit) or remaining == (1 << current) | vbit
 
     def search(current: int, visited: int) -> bool:
-        if visited == full:
-            return current == v
         if visited | vbit == full:
             if adj[current] & vbit:
                 path.append(v)

@@ -148,8 +148,8 @@ LARGER_GRAPHS = {
         for n in (9, 11, 13, 16)
         for p in ("1/4", "1/2", "3/4")
     },
-    # least cuts that leave three or more components, decided among the
-    # counted sets alone
+    # least cuts that leave three or more components, so that the witness
+    # comes from a mark past the first
     **{
         f"gnp-{n}-{p.replace('/', 'of')}-seed{seed}-c{c}": gnp_graph(n, Fraction(p), seed=seed)
         for n, p, seed, c in ((12, "1/2", 2, 4), (13, "1/3", 1, 5), (14, "1/2", 4, 6), (16, "2/5", 5, 6))
@@ -160,6 +160,8 @@ LARGER_GRAPHS = {
     "disconnected-16": build_graph(
         16, [*combinations(range(8), 2), *((8 + i, 8 + (i + 1) % 8) for i in range(8))]
     ),
+    # 15 components, the deepest peel at the ceiling
+    "star-16": complete_bipartite(1, 15),
 }
 
 
@@ -217,9 +219,10 @@ MARKED_GRAPHS = [
 
 
 def marks_through_close(G):
-    """(split, three, members) for G: the two marks from the kernel's
-    ``_close``, with planes and seeds built here from their definitions,
-    and the vertex mask of each set R, vertex v at bit n-1-v of R."""
+    """(marks, members) for G: the kernel's peel, ``_close`` from each
+    set's lowest vertex left until no set has a vertex left, with planes
+    and seeds built here from their definitions, and the vertex mask of
+    each set R, vertex v at bit n-1-v of R."""
     n = G.n
     members = [sum(1 << v for v in range(n) if R >> (n - 1 - v) & 1) for R in range(1 << n)]
     planes = [sum(1 << R for R in range(1 << n) if members[R] >> v & 1) for v in range(n)]
@@ -228,22 +231,28 @@ def marks_through_close(G):
     def lowest(within):  # bit R of entry v: v is the lowest vertex whose entry holds R
         return [w & ~reduce(or_, within[:v], 0) for v, w in enumerate(within)]
 
-    rest = [p ^ r for p, r in zip(planes, _close(lowest(planes), planes, nbrs))]
-    more = [w ^ r for w, r in zip(rest, _close(lowest(rest), rest, nbrs))]
-    return reduce(or_, rest, 0), reduce(or_, more, 0), members
+    marks, rest = [], planes
+    while True:
+        rest = [w ^ r for w, r in zip(rest, _close(lowest(rest), rest, nbrs))]
+        if not any(rest):
+            return marks, members
+        marks.append(reduce(or_, rest, 0))
 
 
 class TestComponentMarks:
     def test_marks_bit_by_bit(self):
         """Closed from each set's lowest member, ``_close`` leaves unreached
-        exactly the sets R with G[R] disconnected; closed again from the
-        lowest vertex outside that first component, exactly those with three
-        or more components."""
+        exactly the sets R with G[R] disconnected; each further closure,
+        from the lowest vertex still unreached, peels off one more
+        component, so mark c - 2 is exactly the sets with c or more
+        components, and the peel ends after the most components less one."""
         for G in MARKED_GRAPHS:
-            split, three, members = marks_through_close(G)
-            for R, mask in enumerate(members):
-                c = len(components_masks(G.adj, mask))
-                assert (split >> R & 1, three >> R & 1) == (c >= 2, c >= 3), (G.adj, R)
+            marks, members = marks_through_close(G)
+            counts = [len(components_masks(G.adj, mask)) for mask in members]
+            assert len(marks) == max(counts) - 1, G.adj
+            for R, c in enumerate(counts):
+                peeled = [m >> R & 1 for m in marks]
+                assert peeled == [c >= d for d in range(2, len(marks) + 2)], (G.adj, R)
 
 
 class TestScanMemory:
