@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import accumulate, combinations
 from operator import or_, xor
 
@@ -98,24 +98,49 @@ def _reversed(mask: int, n: int) -> int:
     return int(format(mask, f"0{n}b")[::-1], 2)
 
 
-def _close(reach: list[int], within: list[int] | tuple[int, ...], nbrs: list[list[int]]) -> list[int]:
+def _close(
+    reach: list[int], within: list[int] | tuple[int, ...], nbrs: list[list[int]], adj: Sequence[int]
+) -> list[int]:
     """Grow each ``reach[v]``, one bit per vertex set, by the reach of v's
-    neighbours, kept within ``within[v]``, until a sweep changes nothing;
-    returns ``reach``, changed in place. Every cut-kernel closure runs here."""
-    changed = True
-    while changed:
-        changed = False
-        for v, w in enumerate(within):
-            if not w:  # reach[v] lies within w, so it stays empty
-                continue
-            r = reach[v]
-            for u in nbrs[v]:
-                r |= reach[u]
-            r &= w
-            if r != reach[v]:
-                reach[v] = r
-                changed = True
+    neighbours, kept within ``within[v]``, until nothing grows; returns
+    ``reach``, changed in place. ``dirty`` holds the vertices still to
+    read: every vertex at first, and each growth of ``reach[v]`` marks v's
+    neighbours (``adj[v]``) again. Sweeps read the dirty vertices in index
+    order until none is left, so a vertex none of whose neighbours grew
+    since its last read is not read again. Reach only grows, so this is
+    the same least fixpoint a sweep over every vertex reaches. Every
+    cut-kernel closure runs here."""
+    dirty = (1 << len(within)) - 1
+    while dirty:
+        v = 0
+        for w in within:
+            if dirty >> v & 1:
+                dirty ^= 1 << v
+                if w:  # reach[v] lies within w, so with w empty it stays empty
+                    r = reach[v]
+                    for u in nbrs[v]:
+                        r |= reach[u]
+                    r &= w
+                    if r != reach[v]:
+                        reach[v] = r
+                        dirty |= adj[v]
+            v += 1
     return reach
+
+
+def _peel(
+    rest: Sequence[int], reach: list[int], nbrs: list[list[int]], adj: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """One peel of the cut kernel: ``_close`` grows ``reach[v]`` within
+    ``rest[v]`` from the seeds ``reach``, and ``rest ^= reach`` takes the
+    reached component off; returns ``(rest, below)``, ``below[v]`` the union
+    of ``rest[u]`` for u < v. So ``below[-1]`` is the next mark, the sets
+    with a vertex left, and ``w ^ (w & low)`` for w, low in ``rest`` and
+    ``below`` seeds the next closure at each set's lowest vertex left
+    (``w & ~low`` would give the same, but its negative operand costs
+    CPython a copy of the whole plane)."""
+    rest = list(map(xor, rest, _close(reach, rest, nbrs, adj)))
+    return rest, list(accumulate(rest, or_, initial=0))
 
 
 def _scan_cuts(G: Graph, exact: bool) -> tuple[int, int, int, int]:
@@ -128,27 +153,27 @@ def _scan_cuts(G: Graph, exact: bool) -> tuple[int, int, int, int]:
     S = V - R. ``rest[v]`` starts as the sets that hold v and ``reach[v]``
     as those whose lowest member is v; ``_close`` grows ``reach[v]``
     within ``rest[v]``, and then ``reach[v]`` holds the sets in which v
-    lies in the component of the lowest vertex left. Each such closure
-    peels that component off: the sets with a vertex left, the union of
-    every ``rest[v] ^ reach[v]``, make the next mark, and the next
-    closure runs within those ``rest[v]`` from each set's lowest vertex
-    left. So ``marks[c - 2]`` is the sets whose G[R] has at least c
-    components, ``marks[0]`` the disconnected ones, and kappa is the least
-    |S| whose layer meets it.
+    lies in the component of the lowest vertex left. ``_peel`` takes that
+    component off ``rest``: the sets with a vertex left make the next
+    mark, and the next closure runs within the new ``rest[v]`` from each
+    set's lowest vertex left. So ``marks[c - 2]`` is the sets whose G[R]
+    has at least c components, ``marks[0]`` the disconnected ones, and
+    kappa is the least |S| whose layer meets it.
 
     Stage 2 goes up from |S| = kappa, keeping the least ratio num/den =
     |S|/c first reached at ``cut``. A layer's most components c is one
     more than the number of marks it meets, and its witness the lowest
     index among its sets in ``marks[c - 2]``, so the witness is the least
     ratio, then the fewest vertices, then the first sorted vertex list;
-    den is 0 if no S separates. Exact mode peels until no set has a vertex
-    left and stops once |S|/(n-|S|), which bounds every later ratio,
-    reaches the best. Threshold mode decides only whether toughness is at
-    most 1: it returns before any peel if a separator has at most 2
-    vertices, since c >= 2 (num, den and cut then name no particular
-    cut), peels at most n // 2 - 1 marks, as a layer it visits has
-    |S| <= n/2 and so never needs more components than that, and stops at
-    a cut with |S| <= c(G-S), or once |S| > n/2.
+    den is 0 if no S separates. A further mark is peeled only when a layer
+    meets every mark built so far, up to n - 1 marks (n components) in
+    exact mode. Exact mode stops once |S|/(n-|S|), which bounds every
+    later ratio, reaches the best. Threshold mode decides only whether
+    toughness is at most 1: it returns before any peel if a separator has
+    at most 2 vertices, since c >= 2 (num, den and cut then name no
+    particular cut), peels at most n // 2 - 1 marks, as a layer it visits
+    has |S| <= n/2 and so never needs more components than that, and
+    stops at a cut with |S| <= c(G-S), or once |S| > n/2.
     """
     n = G.n
     if n > TOUGHNESS_CEILING:
@@ -156,17 +181,16 @@ def _scan_cuts(G: Graph, exact: bool) -> tuple[int, int, int, int]:
             f"exact cut scan is capped at n={TOUGHNESS_CEILING}, got n={n}"
         )
     planes, layers, tops = _subset_planes(n)
-    rest, reach = planes[::-1], list(tops[::-1])  # vertex v at bit n-1-v
-    nbrs = [_BYTE_BITS[a & 255] + _HIGH_BYTE_BITS[a >> 8] for a in G.adj]
-    marks = [reduce(or_, map(xor, rest, _close(reach, rest, nbrs)), 0)]
-    kappa = next((s for s in range(n - 1) if marks[0] & layers[n - s]), n - 1)
+    adj = G.adj
+    nbrs = [_BYTE_BITS[a & 255] + _HIGH_BYTE_BITS[a >> 8] for a in adj]
+    rest, below = _peel(planes[::-1], list(tops[::-1]), nbrs, adj)  # vertex v at bit n-1-v
+    marks = [below[-1]]
+    kappa = 0  # the least |S| whose layer meets marks[0]
+    while kappa < n - 1 and not marks[0] & layers[n - kappa]:
+        kappa += 1
     if not exact and marks[0] and kappa <= 2:  # a separator with c >= 2 >= |S|
         return kappa, kappa, 2, 0
-    peel = n - 1 if exact else n // 2 - 1  # marks for up to n or n/2 components
-    while marks[-1] and len(marks) < peel:
-        rest = list(map(xor, rest, reach))
-        reach = [w & ~low for w, low in zip(rest, accumulate(rest, or_, initial=0))]
-        marks.append(reduce(or_, map(xor, rest, _close(reach, rest, nbrs)), 0))
+    cap = n - 1 if exact else n // 2 - 1  # marks for up to n or n/2 components
 
     num = den = best = 0
     for s in range(kappa, n - 1):
@@ -176,11 +200,21 @@ def _scan_cuts(G: Graph, exact: bool) -> tuple[int, int, int, int]:
         elif (den and num <= den) or 2 * s > n:
             break
         layer = layers[n - s]  # every S of s vertices, as R = V - S
-        # the layer's most components: it meets marks[c - 2] but not marks[c - 1]
-        c = next((c for c, m in enumerate(marks, 1) if not layer & m), len(marks) + 1)
+        # the layer's most components: it meets marks[c - 2] but not
+        # marks[c - 1]; a layer that meets every mark so far peels the next
+        c = 1
+        while layer & marks[c - 1]:
+            c += 1
+            if c > len(marks):
+                if len(marks) >= cap:
+                    break
+                rest, below = _peel(rest, [w ^ (w & low) for w, low in zip(rest, below)], nbrs, adj)
+                marks.append(below[-1])
         if c > 1 and (not den or s * den < num * c):
             num, den, best = s, c, layer & marks[c - 2]
-    cut = _reversed(((1 << n) - 1) ^ ((best & -best).bit_length() - 1), n) if den else 0
+    # best ^ (best - 1) has every bit up to best's lowest set; best & -best
+    # would copy the whole 2**n-bit plane into a negative operand
+    cut = _reversed(((1 << n) - 1) ^ ((best ^ (best - 1)).bit_length() - 1), n) if den else 0
     return kappa, num, den, cut
 
 

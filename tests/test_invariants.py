@@ -28,10 +28,12 @@ from hamcert import (
     vertex_connectivity,
     vertex_connectivity_bruteforce,
 )
+from hamcert import invariants
 from hamcert.graph import bits, components_masks, mask_of
 from hamcert.invariants import (
     _close,
     _first_independent,
+    _scan_cuts,
     _subset_planes,
     find_forbidden_naive,
     forbidden_at,
@@ -233,7 +235,7 @@ def marks_through_close(G):
 
     marks, rest = [], planes
     while True:
-        rest = [w ^ r for w, r in zip(rest, _close(lowest(rest), rest, nbrs))]
+        rest = [w ^ r for w, r in zip(rest, _close(lowest(rest), rest, nbrs, G.adj))]
         if not any(rest):
             return marks, members
         marks.append(reduce(or_, rest, 0))
@@ -253,6 +255,81 @@ class TestComponentMarks:
             for R, c in enumerate(counts):
                 peeled = [m >> R & 1 for m in marks]
                 assert peeled == [c >= d for d in range(2, len(marks) + 2)], (G.adj, R)
+
+
+def closure_reference(reach, within, adj):
+    """The least fixpoint that ``_close`` must reach, by plain sweeps: every
+    vertex takes its neighbours' reach within its own mask, until a whole
+    sweep changes nothing."""
+    reach = list(reach)
+    changed = True
+    while changed:
+        changed = False
+        for v, w in enumerate(within):
+            r = reach[v]
+            for u in bits(adj[v]):
+                r |= reach[u]
+            if r & w != reach[v]:
+                reach[v], changed = r & w, True
+    return reach
+
+
+@st.composite
+def closure_inputs(draw):
+    """(graph, within, seeds): a graph with n <= 10, a mask per vertex over
+    2**n set indices (some of them empty) and seeds inside those masks."""
+    n = draw(st.integers(1, 10))
+    G = graph_from_code(n, draw(st.integers(0, (1 << n * (n - 1) // 2) - 1)))
+    plane = st.one_of(st.just(0), st.integers(0, (1 << (1 << n)) - 1))
+    within = draw(st.lists(plane, min_size=n, max_size=n))
+    seeds = [w & draw(plane) for w in within]
+    return G, within, seeds
+
+
+class TestClose:
+    @settings(max_examples=400, deadline=None)
+    @given(closure_inputs())
+    def test_matches_sweeping_reference(self, case):
+        """The dirty-vertex closure reads only vertices whose neighbours
+        grew, yet reaches the same least fixpoint as sweeping every vertex."""
+        G, within, seeds = case
+        nbrs = [list(bits(a)) for a in G.adj]
+        expected = closure_reference(seeds, within, G.adj)
+        assert _close(list(seeds), within, nbrs, G.adj) == expected
+
+
+def count_closures(monkeypatch):
+    """A list that gains one entry per ``_close`` call from now on."""
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return _close(*args)
+
+    monkeypatch.setattr(invariants, "_close", counted)
+    return calls
+
+
+class TestOnDemandPeel:
+    """Stage 2 peels a further mark only when a layer it visits meets every
+    mark built so far."""
+
+    def test_path_reads_six_marks(self, monkeypatch):
+        # the ratio bound stops stage 2 at |S| = 6; the layer |S| = 5 leaves
+        # at most 6 components, so the marks of 8 and 9 are never peeled
+        calls = count_closures(monkeypatch)
+        assert _scan_cuts(path_graph(16), exact=True) == (1, 1, 2, 0b10)
+        assert len(calls) == 6
+
+    def test_no_layer_visited_no_peel(self, monkeypatch):
+        # K7 less a matching: kappa = 5, and every separator leaves 2 components
+        G = build_graph(7, [e for e in combinations(range(7), 2) if e not in {(0, 1), (2, 3), (4, 5)}])
+        calls = count_closures(monkeypatch)
+        assert _scan_cuts(G, exact=False)[0] == 5
+        assert len(calls) == 1  # 2 * 5 > 7: threshold mode visits no layer
+        del calls[:]
+        assert _scan_cuts(G, exact=True) == (5, 5, 2, 0b1001111)  # S = V - {4, 5}
+        assert len(calls) == 2  # the layer |S| = 5 meets the first mark
 
 
 class TestScanMemory:
