@@ -31,16 +31,25 @@ class ValidationReport:
         return self.code == "ok"
 
 
+# every accepting check returns this one report; it is frozen, so sharing is safe
+_ACCEPTED = ValidationReport()
+
+
 def _check_hamilton(G: Graph, u: int, v: int, outcome: HamiltonPath) -> ValidationReport:
+    """The path visits each of G's n vertices once, runs from u to v, and
+    each consecutive pair is an edge. Once the spanning check has passed,
+    every entry is a vertex of G, so the edge test reads the adjacency
+    bitmasks directly."""
     path = outcome.path
     if len(path) != G.n or set(path) != set(range(G.n)):
         return ValidationReport("not-spanning", "path does not visit every vertex once")
     if path[0] != u or path[-1] != v:
         return ValidationReport("endpoints", f"endpoints are not ({u},{v})")
+    adj = G.adj
     for a, b in zip(path, path[1:]):
-        if not G.has_edge(a, b):
+        if not adj[a] >> b & 1:
             return ValidationReport("missing-edge", f"consecutive pair {a}-{b} not adjacent")
-    return ValidationReport()
+    return _ACCEPTED
 
 
 def _check_small_cut(G: Graph, k: int, outcome: SmallCut) -> ValidationReport:
@@ -51,7 +60,7 @@ def _check_small_cut(G: Graph, k: int, outcome: SmallCut) -> ValidationReport:
         return ValidationReport("too-large", f"|cut|={len(cut)} is not below {2 * k}")
     if len(components_after_removal(G, cut)) < 2:
         return ValidationReport("not-a-cut", "removal leaves fewer than two components")
-    return ValidationReport()
+    return _ACCEPTED
 
 
 def _check_forbidden(G: Graph, k: int, outcome: ForbiddenInduced) -> ValidationReport:
@@ -72,7 +81,7 @@ def _check_forbidden(G: Graph, k: int, outcome: ForbiddenInduced) -> ValidationR
         for d in members:
             if c < d and G.has_edge(c, d):
                 return ValidationReport("not-independent", f"edge {c}-{d} inside the set")
-    return ValidationReport()
+    return _ACCEPTED
 
 
 def _check_toughness(G: Graph, outcome: ToughnessWitness) -> ValidationReport:
@@ -97,7 +106,7 @@ def _check_toughness(G: Graph, outcome: ToughnessWitness) -> ValidationReport:
         )
     if len(cut) < 1:
         return ValidationReport("empty-cut", "toughness witness needs a nonempty cut")
-    return ValidationReport()
+    return _ACCEPTED
 
 
 def validate_outcome(G: Graph, k: int, u: int, v: int, outcome: Outcome) -> ValidationReport:

@@ -21,7 +21,6 @@ scans established.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import EngineError, GraphInputError
 from .graph import Graph, bits, components_masks, is_connected, mask_of
@@ -38,14 +37,16 @@ from .outcomes import (
 # --- oriented paths ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrientedPath:
-    """A simple (u,v)-path. Successor and predecessor navigation is O(1)
-    after the first lookup, which builds the position table; rule 1
+    """A simple (u,v)-path, immutable, equal, hashed and printed by ``seq``
+    alone. Successor and predecessor navigation is O(1) after the first
+    lookup, which fills the ``pos`` slot with the position table; rule 1
     never needs it."""
 
     seq: tuple[int, ...]
     mask: int = field(init=False, compare=False, repr=False)  # the path's vertex set
+    pos: dict[int, int] = field(init=False, compare=False, repr=False)  # filled on first read
 
     def __post_init__(self):
         mask = mask_of(self.seq)
@@ -57,15 +58,21 @@ class OrientedPath:
     def _trusted(cls, seq: tuple[int, ...], mask: int) -> "OrientedPath":
         """The path ``seq`` with vertex set ``mask``, both from ``_checked``'s
         walk, which has already refused a repeated vertex, or from a path
-        that ``reversed`` turns round."""
+        that ``reversed`` turns round. It fills the two slots through their
+        descriptors, which skips the frozen ``__setattr__`` and
+        ``__post_init__``'s second walk; ``pos`` stays empty until read."""
         path = object.__new__(cls)
-        object.__setattr__(path, "seq", seq)
-        object.__setattr__(path, "mask", mask)
+        _set_seq(path, seq)
+        _set_mask(path, mask)
         return path
 
-    @cached_property
-    def pos(self) -> dict[int, int]:
-        return {w: i for i, w in enumerate(self.seq)}
+    def __getattr__(self, name: str):
+        # reached only while a slot is empty: fill ``pos`` on its first read
+        if name != "pos":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        pos = {w: i for i, w in enumerate(self.seq)}
+        _set_pos(self, pos)
+        return pos
 
     @property
     def first(self) -> int:
@@ -89,6 +96,12 @@ class OrientedPath:
 
     def reversed(self) -> "OrientedPath":
         return OrientedPath._trusted(self.seq[::-1], self.mask)
+
+
+# the slots' own setters, which bypass the frozen ``__setattr__``
+_set_seq, _set_mask, _set_pos = (
+    vars(OrientedPath)[name].__set__ for name in ("seq", "mask", "pos")
+)
 
 
 def initial_path(G: Graph, u: int, v: int) -> OrientedPath:
@@ -215,9 +228,12 @@ def _path_through_component(G: Graph, comp_mask: int, a: int, b: int) -> tuple[i
     targets = adj[b] & comp_mask
     if not frontier or not targets:
         raise EngineError("component path requested without anchors")
+    hit = frontier & targets
+    if hit:  # one vertex sees both ends
+        return ((hit & -hit).bit_length() - 1,)
     layers = []
     seen = frontier
-    while not frontier & targets:
+    while not hit:
         layers.append(frontier)
         nxt = 0
         for w in bits(frontier):
@@ -226,7 +242,7 @@ def _path_through_component(G: Graph, comp_mask: int, a: int, b: int) -> tuple[i
         if not frontier:
             raise EngineError("component path search exhausted")
         seen |= frontier
-    hit = frontier & targets
+        hit = frontier & targets
     z = (hit & -hit).bit_length() - 1
     out = [z]
     for layer in reversed(layers):
@@ -417,7 +433,7 @@ def _detour(G: Graph, P: OrientedPath, comp: int, nbrs: tuple[int, ...]) -> Orie
 
 def extend_or_certify(G: Graph, k: int, P: OrientedPath) -> Step:
     """One step: apply the first applicable rule of the fixed cascade."""
-    off = G.full_mask & ~P.mask
+    off = (1 << G.n) - 1 ^ P.mask  # P's vertices all lie in V(G)
     if not off:
         return "done", HamiltonPath(path=P.seq)
     # rule 1: consecutive neighbors of any component admit a splice. One
@@ -489,8 +505,12 @@ class ExtractionResult:
         1-2 never read k, and the cascade tries rules 1 and 2 on every
         component before rule 3, so each step, and the final Hamilton path
         or empty cut, is the same whatever k is."""
-        steps, end = self.trace[:-1], self.trace[-1:]
-        return end in (("done",), ("disconnected",)) and set(steps) <= {"rule1", "rule2"}
+        trace = self.trace
+        ends = trace[-1:] in (("done",), ("disconnected",))
+        return ends and _K_FREE_RULES.issuperset(trace[:-1])
+
+
+_K_FREE_RULES = frozenset(("rule1", "rule2"))  # the rules that never read k
 
 
 def extract(G: Graph, k: int, u: int, v: int) -> ExtractionResult:
@@ -512,7 +532,7 @@ def extract(G: Graph, k: int, u: int, v: int) -> ExtractionResult:
         trace.append(rule)
         if not isinstance(step, OrientedPath):
             return ExtractionResult(outcome=step, trace=tuple(trace))
-        if len(step) <= len(P):
+        if len(step.seq) <= len(P.seq):
             raise EngineError("non-increasing extension step")
         P = step
     raise EngineError("extraction exceeded the step bound")

@@ -284,15 +284,18 @@ def forbidden_at(
 def find_induced_p2_plus_kp1(G: Graph, k: int) -> ForbiddenInduced | None:
     """Search for an induced pattern: the first edge (z,w) in ``G.edges()``
     order with an independent k-set avoiding the closed neighborhoods of
-    z and w, and its lowest-first such set.
+    z and w, and its lowest-first such set. The edges are walked in that
+    order as they are needed, without the list, since most searches stop
+    at an early edge.
     """
     if k < 1:
         raise GraphInputError("k must be at least 1")
-    order, full = range(G.n), G.full_mask
-    for edge in G.edges():
-        found = forbidden_at(G, k, edge, order, full)
-        if found is not None:
-            return found
+    order, full, adj = range(G.n), G.full_mask, G.adj
+    for z in order:
+        for w in bits(adj[z] >> z + 1 << z + 1):
+            found = forbidden_at(G, k, (z, w), order, full)
+            if found is not None:
+                return found
     return None
 
 

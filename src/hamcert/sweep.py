@@ -182,7 +182,9 @@ def process_task(task: tuple, cfg: SweepConfig) -> tuple[list[dict], dict]:
     """Run one graph through every k: hypothesis evaluation, extraction
     on the selected pairs, validation. Returns (records, summary delta).
     An exception raised by ``extract`` or ``validate_outcome`` becomes an
-    engine-error violation for its (k, pair), and the sweep carries on."""
+    engine-error violation for its (k, pair), and the sweep carries on.
+    A violation's text, with its ``k=… pair=(…)`` part, is built only
+    once the graph has one, since almost no pair does."""
     G = _materialize(task)
     n = G.n
     started = time.perf_counter()
@@ -197,7 +199,8 @@ def process_task(task: tuple, cfg: SweepConfig) -> tuple[list[dict], dict]:
     satisfying: dict[int, int] = {}
     outcomes: dict[str, int] = {}
     failures = overshoot = 0
-    found: list[tuple[str, str]] = []  # each violation's text before and after the graph6 word
+    # each violation: its text before the graph6 word, then k, the pair and any detail
+    found: list[tuple[str, int, int, int, str]] = []
     reusable: dict[tuple[int, int], ExtractionResult] = {}  # k-free results, good for every k
 
     for k in cfg.ks:
@@ -211,13 +214,12 @@ def process_task(task: tuple, cfg: SweepConfig) -> tuple[list[dict], dict]:
         tally: dict[str, int] = {}
         valid = paths = 0  # accepted outcomes, and the Hamilton paths among them
         for (u, v) in pairs:
-            where = f"k={k} pair=({u},{v})"
             res = reusable.get((u, v))
             if res is None:
                 try:
                     res = extract(G, k, u, v)
                 except Exception as exc:  # a bug must not end the sweep
-                    found.append(("engine error on", f"{where}: {_fault(exc)}"))
+                    found.append(("engine error on", k, u, v, f": {_fault(exc)}"))
                     continue
                 if res.k_free:
                     reusable[(u, v)] = res
@@ -229,18 +231,18 @@ def process_task(task: tuple, cfg: SweepConfig) -> tuple[list[dict], dict]:
                 try:
                     report = validate_outcome(G, k, u, v, res.outcome)
                 except Exception as exc:  # a bug must not end the sweep
-                    found.append(("engine error on", f"{where}: {_fault(exc)}"))
+                    found.append(("engine error on", k, u, v, f": {_fault(exc)}"))
                     continue
                 if not report.accepted:
                     failures += 1
-                    found.append((f"invalid {kind} on", f"{where}: {report.code}"))
+                    found.append((f"invalid {kind} on", k, u, v, f": {report.code}"))
                 else:
                     valid += 1
                     if kind == "hamilton_path":
                         paths += 1
             if all_hyp and kind != "hamilton_path":
                 label = "stalled" if kind == "stalled" else f"certificate {kind}"
-                found.append((f"{label} on hypothesis-satisfying graph", where))
+                found.append((f"{label} on hypothesis-satisfying graph", k, u, v, ""))
 
         if cfg.keep_records:
             records.append(
@@ -267,7 +269,9 @@ def process_task(task: tuple, cfg: SweepConfig) -> tuple[list[dict], dict]:
         "satisfying": satisfying,
         "tally": outcomes,
         "validation_failures": failures,
-        "violations": [f"{what} {word} {where}" for what, where in found],
+        "violations": [
+            f"{what} {word} k={k} pair=({u},{v}){detail}" for what, k, u, v, detail in found
+        ],
         "max_overshoot": overshoot,
     }
 

@@ -49,6 +49,65 @@ class TestHamiltonValidation:
         assert not rep.accepted
 
 
+def _hamilton_code(G, k, u, v, path) -> str:
+    """The report code a Hamilton claim earns, transcribed from the
+    definition with vertex lists, apart from the validator's bitmasks."""
+    if k < 1:
+        return "bad-k"
+    if u == v or u not in range(G.n) or v not in range(G.n):
+        return "bad-pair"
+    if sorted(path) != list(range(G.n)):
+        return "not-spanning"
+    if (path[0], path[-1]) != (u, v):
+        return "endpoints"
+    for a, b in zip(path, path[1:]):
+        if b not in G.neighbors(a):
+            return "missing-edge"
+    return "ok"
+
+
+@st.composite
+def _hamilton_claims(draw):
+    """A graph, a claimed (k, u, v) and a claimed path: an ordering of the
+    vertices, then perhaps one defect drawn from wrong lengths, repeats,
+    out-of-range and negative entries and swapped endpoints. Dense graphs
+    make a claim with every edge present common; sparse ones miss edges."""
+    n = draw(st.integers(3, 8))
+    p = draw(st.sampled_from((0.3, 0.7, 1.0)))
+    rng = draw(st.randoms(use_true_random=False))
+    G = build_graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p])
+    path = draw(st.permutations(range(n)))
+    defect = draw(
+        st.sampled_from(("none", "none", "short", "long", "repeat", "big", "negative", "swap"))
+    )
+    if defect == "short":
+        path = path[:-1]
+    elif defect == "long":
+        path = path + [draw(st.integers(0, n - 1))]
+    elif defect == "repeat":
+        path[draw(st.integers(1, n - 1))] = path[0]
+    elif defect in ("big", "negative"):
+        bad = draw(st.integers(n, n + 70) if defect == "big" else st.integers(-70, -1))
+        path[draw(st.integers(0, n - 1))] = bad
+    elif defect == "swap":
+        path[0], path[-1] = path[-1], path[0]
+    u, v = path[0], path[-1]
+    if draw(st.sampled_from((False, False, True))):  # a pair that need not match the ends
+        u, v = draw(st.integers(-1, n)), draw(st.integers(-1, n))
+    return G, draw(st.sampled_from((0, 1, 1, 2, 3))), u, v, tuple(path)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_hamilton_claims())
+def test_hamilton_check_matches_a_transcription(claim):
+    """Every Hamilton claim earns the report code of a direct transcription
+    of the definition, and only an accepted one reads "ok"."""
+    G, k, u, v, path = claim
+    rep = validate_outcome(G, k, u, v, HamiltonPath(path))
+    assert rep.code == _hamilton_code(G, k, u, v, path)
+    assert rep.accepted == (rep.code == "ok")
+
+
 class TestSmallCutValidation:
     def test_accepts_valid(self):
         G = path_graph(5)

@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import random
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import combinations
 
@@ -144,6 +145,31 @@ class TestOrientedPath:
     def test_reversed(self):
         P = OrientedPath((0, 1, 2)).reversed()
         assert P.seq == (2, 1, 0)
+
+    def test_trusted_path_matches_the_constructor(self):
+        """A path filled through ``_trusted``'s slot setters is the path the
+        constructor builds: equal, hashing and printing alike, with the same
+        navigation, its position table filled on first read (also once
+        reversed), no instance dictionary and no assignable field."""
+        seq = (3, 1, 4, 0, 2)
+        built, trusted = OrientedPath(seq), OrientedPath._trusted(seq, mask_of(seq))
+        assert trusted == built and hash(trusted) == hash(built)
+        assert repr(trusted) == repr(built) == f"OrientedPath(seq={seq})"
+        assert trusted.mask == built.mask == mask_of(seq)
+        for P in (built, trusted):
+            R = P.reversed()
+            assert R.seq == seq[::-1] and R.mask == P.mask
+            assert R.pos == {w: i for i, w in enumerate(seq[::-1])}
+            assert P.pos == {w: i for i, w in enumerate(seq)}
+            assert P.pos is P.pos  # filled once
+            assert not hasattr(P, "__dict__")
+            with pytest.raises(FrozenInstanceError):
+                P.seq = (0, 1)
+            with pytest.raises(FrozenInstanceError):
+                P.mask = 0
+            with pytest.raises(AttributeError):
+                P.missing
+        assert R.succ(0) == 4 and R.pred(1) == 4 and R.position(3) == 4
 
     def test_initial_path_is_shortest(self):
         G = cycle_graph(6)
