@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import EngineError, GraphInputError
-from .graph import Graph, bits, components_masks, is_connected, mask_of
+from .graph import Graph, bits, components_masks, edges_within, is_connected, mask_of
 from .invariants import forbidden_at
 from .outcomes import (
     ForbiddenInduced,
@@ -203,14 +203,14 @@ def _segments(P: OrientedPath, nbrs: tuple[int, ...]) -> tuple[tuple[int, ...], 
     return tuple(P.seq[a + 1 : b] for a, b in zip(cuts, cuts[1:]))
 
 
-def _odd_sets(segs: tuple[tuple[int, ...], ...]) -> frozenset[int]:
-    """Union of the odd-position vertices of every segment: counted
-    forward from each neighbor for segments 1..t, backward from the
-    first neighbor for segment 0."""
-    out = set(segs[0][::-2])
+def _odd_sets(segs: tuple[tuple[int, ...], ...]) -> int:
+    """S', the union of the odd-position vertices of every segment, as the
+    mask rules 7-9 read: counted forward from each neighbor for segments
+    1..t, backward from the first neighbor for segment 0."""
+    out = mask_of(segs[0][::-2])
     for seg in segs[1:]:
-        out.update(seg[::2])
-    return frozenset(out)
+        out |= mask_of(seg[::2])
+    return out
 
 
 # --- helpers ----------------------------------------------------------------
@@ -373,11 +373,11 @@ def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int, nbrs: tuple[int,
             raise EngineError("even-segment endpoint lost its reference count")
         return "rule6", three_case(G, P, a, x_mask, x)
 
-    s_prime = _odd_sets(segs)
+    s_mask = _odd_sets(segs)
     wide_candidates = [x] + sorted(set(plus) | set(minus))
 
     # rule 7: the odd-position set must be independent
-    edge = _independent_violation(G, s_prime)
+    edge = next(edges_within(G.adj, s_mask), None)
     if edge is not None:
         witness = forbidden_at(G, k, edge, wide_candidates, mask_of(wide_candidates))
         if witness is not None:
@@ -388,7 +388,7 @@ def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int, nbrs: tuple[int,
         )
 
     # rule 8: outside vertices must avoid the successor set and S'
-    plus_mask, s_mask = mask_of(plus), mask_of(s_prime)
+    plus_mask = mask_of(plus)
     for y in bits(G.full_mask & ~P.mask & ~(1 << x)):
         plus_hits = sorted(bits(G.adj[y] & plus_mask), key=P.position)
         if len(plus_hits) >= 2:
@@ -396,34 +396,25 @@ def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int, nbrs: tuple[int,
             return "rule8", via_component_path(G, P, xp, xq, (x,), (y,))
         if len(plus_hits) == 1:
             return "rule8", _forbidden_or_bug(G, k, (y, plus_hits[0]), [x] + list(plus))
-        s_hits = sorted(bits(G.adj[y] & s_mask))
+        s_hits = G.adj[y] & s_mask
         if s_hits:
-            # {x} | plus avoids y, s_hits[0] and their neighbourhoods, lies in
-            # the independent {x} | S', and has at least 2k members (rule 3)
-            return "rule8", _forbidden_or_bug(G, k, (y, s_hits[0]), wide_candidates)
+            # {x} | plus avoids y, its lowest neighbour z in S' and their neighbourhoods,
+            # lies in the independent {x} | S', and has at least 2k members (rule 3)
+            z = (s_hits & -s_hits).bit_length() - 1
+            return "rule8", _forbidden_or_bug(G, k, (y, z), wide_candidates)
 
     # rule 9: the toughness endgame. Rules 4, 7 and 8 leave the witness set
     # independent, and rule 6's odd segments make it no smaller than the cut
-    s_star = frozenset(P.seq) - s_prime
-    witness_set = frozenset(bits(G.full_mask & ~P.mask)) | s_prime
+    s_star = frozenset(bits(P.mask ^ s_mask))  # S' lies on P
+    witness_set = frozenset(bits(G.full_mask & ~P.mask | s_mask))
     return "rule9", ToughnessWitness(cut=s_star, independent=witness_set)
-
-
-def _independent_violation(G: Graph, vertices) -> tuple[int, int] | None:
-    vs = sorted(vertices)
-    m = mask_of(vs)
-    for w in vs:
-        inner = G.adj[w] & m
-        if inner:
-            return (w, (inner & -inner).bit_length() - 1)
-    return None
 
 
 def _detour(G: Graph, P: OrientedPath, comp: int, nbrs: tuple[int, ...]) -> OrientedPath | None:
     """Rule 2 on a component with path neighbors ``nbrs``: when two of their
     successors are adjacent, the detour through the component from the
     first one's predecessor xi to the second's xj, else None."""
-    bad = _independent_violation(G, _successors(P, nbrs))
+    bad = next(edges_within(G.adj, mask_of(_successors(P, nbrs))), None)
     if bad is None:
         return None
     wi, wj = sorted(bad, key=P.position)
@@ -475,7 +466,7 @@ def extend_or_certify(G: Graph, k: int, P: OrientedPath) -> Step:
     for comp, nbrs in comps:
         if comp.bit_count() == 1:
             continue
-        edge = _independent_violation(G, bits(comp))  # comp is connected
+        edge = next(edges_within(adj, comp))  # comp is connected, so it has an edge
         return "rule4", _forbidden_or_bug(G, k, edge, list(_successors(P, nbrs)))
 
     # rules 5-9 on the singleton component with the lowest vertex

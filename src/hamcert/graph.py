@@ -71,11 +71,7 @@ class Graph:
         return list(bits(self.adj[u]))
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(self.n):
-            for v in bits(self.adj[u] >> (u + 1) << (u + 1)):
-                out.append((u, v))
-        return out
+        return list(edges_within(self.adj, self.full_mask))
 
     def edge_count(self) -> int:
         return sum(m.bit_count() for m in self.adj) // 2
@@ -126,6 +122,16 @@ def components_masks(adj: tuple[int, ...], remaining: int) -> list[int]:
                 frontier |= new
         out.append(comp)
     return out
+
+
+def edges_within(adj: tuple[int, ...], mask: int) -> Iterator[tuple[int, int]]:
+    """The edges of G[mask] as (z, w) with z < w, in lexicographic order,
+    yielded as they are needed: the package's one edge walk, which
+    ``Graph.edges`` lists, the forbidden-pattern search walks edge by edge,
+    and the engine's rules 2, 4 and 7 read for a set's first inner edge."""
+    for z in bits(mask):
+        for w in bits(adj[z] & mask >> z + 1 << z + 1):
+            yield z, w
 
 
 def components_after_removal(G: Graph, removed: Iterable[int]) -> list[frozenset[int]]:

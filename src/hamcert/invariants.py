@@ -16,7 +16,7 @@ from itertools import accumulate, combinations
 from operator import or_, xor
 
 from .errors import CapacityError, GraphInputError
-from .graph import Graph, bits, components_masks, mask_of
+from .graph import Graph, bits, components_masks, edges_within, mask_of
 from .outcomes import ForbiddenInduced
 
 # the cut kernel caches 3n + 1 ints of at most 2^n bits per n and reads
@@ -230,6 +230,14 @@ def cut_scan(G: Graph) -> tuple[int, Toughness]:
     return kappa, Toughness(False, Fraction(num, den), frozenset(bits(cut)), den)
 
 
+def quick_hypotheses(G: Graph) -> tuple[int, bool]:
+    """(kappa, toughness > 1) from the threshold mode of the cut kernel
+    behind ``cut_scan``, which finds kappa exactly and stops as soon as it
+    knows whether toughness exceeds 1: the light sweep's hypothesis scan."""
+    kappa, num, den, _ = _scan_cuts(G, exact=False)
+    return kappa, not den or num > den
+
+
 def toughness(G: Graph) -> Toughness:
     """Exact minimization of |S| / c(G-S) over all cuts, with witness."""
     return cut_scan(G)[1]
@@ -284,18 +292,17 @@ def forbidden_at(
 def find_induced_p2_plus_kp1(G: Graph, k: int) -> ForbiddenInduced | None:
     """Search for an induced pattern: the first edge (z,w) in ``G.edges()``
     order with an independent k-set avoiding the closed neighborhoods of
-    z and w, and its lowest-first such set. The edges are walked in that
-    order as they are needed, without the list, since most searches stop
-    at an early edge.
+    z and w, and its lowest-first such set. ``edges_within`` yields the
+    edges in that order as they are needed, since most searches stop at
+    an early edge.
     """
     if k < 1:
         raise GraphInputError("k must be at least 1")
-    order, full, adj = range(G.n), G.full_mask, G.adj
-    for z in order:
-        for w in bits(adj[z] >> z + 1 << z + 1):
-            found = forbidden_at(G, k, (z, w), order, full)
-            if found is not None:
-                return found
+    order, full = range(G.n), G.full_mask
+    for edge in edges_within(G.adj, full):
+        found = forbidden_at(G, k, edge, order, full)
+        if found is not None:
+            return found
     return None
 
 

@@ -3,9 +3,9 @@ extraction, validation, and JSONL reporting.
 
 A sweep with an output sink records one line per (graph, k) with exact
 invariant values from ``cut_scan``. Without a sink it runs in a light mode:
-``quick_hypotheses`` runs the same cut kernel in its early-exit threshold
-mode, which finds kappa exactly but decides only whether toughness
-exceeds 1, so exhaustive 7-vertex runs stay tractable.
+``invariants.quick_hypotheses`` runs the same cut kernel in its early-exit
+threshold mode, which finds kappa exactly but decides only whether
+toughness exceeds 1, so exhaustive 7-vertex runs stay tractable.
 Both modes pass kappa and "toughness > 1" to one per-k verdict; light mode
 skips the forbidden-pattern search where that verdict is already no.
 
@@ -38,10 +38,10 @@ from .graph import (
 from .graph6 import write_graph6
 from .invariants import (
     TOUGHNESS_CEILING,
-    _scan_cuts,
     cut_scan,
     find_induced_p2_plus_kp1,
     is_hamiltonian_connected,  # noqa: F401 - unused here; bench/tracing.py wraps this name
+    quick_hypotheses,
 )
 from .outcomes import CERTIFICATE_KINDS
 
@@ -140,17 +140,6 @@ def _materialize(task: tuple) -> Graph:
         return Graph(task[2], task[3])
     _, _, n, num, den, seed, i = task
     return gnp_graph(n, Fraction(num, den), seed, i)
-
-
-# --- light-mode hypothesis scan ---------------------------------------------
-
-
-def quick_hypotheses(G: Graph) -> tuple[int, bool]:
-    """(kappa, toughness > 1) from the threshold mode of the cut kernel
-    behind ``cut_scan``, which finds kappa exactly and stops as soon as it
-    knows whether toughness exceeds 1."""
-    kappa, num, den, _ = _scan_cuts(G, exact=False)
-    return kappa, not den or num > den
 
 
 # --- per-graph processing ---------------------------------------------------

@@ -94,7 +94,8 @@ class TestInvariantsCommand:
         def forbidden(*args):
             raise AssertionError("searched a graph beyond the cut-scan ceiling")
 
-        monkeypatch.setattr(invariants, "vertex_connectivity", forbidden)
+        # building the subset planes is the cut kernel's first work
+        monkeypatch.setattr(invariants, "_subset_planes", forbidden)
         monkeypatch.setattr(invariants, "find_induced_p2_plus_kp1", forbidden)
         code, _, err = run_cli(capsys, "invariants", "--family", "gnp:17,1/2", "--seed", "1", "--k", "1")
         assert code == 2 and "capped at n=16" in err

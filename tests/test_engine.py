@@ -720,12 +720,32 @@ class TestThreeCaseBranches:
         assert hypothesis_check(G, k).forbidden_witness is not None
 
 
-class TestDeepRules:
-    """The rules that only fire deep in the cascade, pinned through
-    extract: each expected trace and outcome is the engine's own output,
-    and each outcome must pass the independent validator."""
+# graph6, k, u, v, trace and outcome of rules 2 and 4 from extract's own
+# start path, each on a set with several inner edges: taking any edge but
+# the lexicographically first one changes the outcome
+FIRST_EDGE_ROWS = [
+    pytest.param(
+        "ELN?", 1, 0, 1,
+        ("rule4",),
+        ForbiddenInduced(edge=(2, 3), independent=frozenset({5})),
+        id="rule4-first-component-edge",
+    ),
+    pytest.param(
+        "FTvtO", 1, 0, 1,
+        ("rule1",) * 3 + ("rule2", "done"),
+        HamiltonPath((0, 6, 4, 3, 2, 5, 1)),
+        id="rule2-first-successor-edge",
+    ),
+]
 
-    @pytest.mark.parametrize("word, k, u, v, trace, outcome", DEEP_RULE_ROWS)
+
+class TestDeepRules:
+    """The rules that only fire deep in the cascade, and the first inner
+    edge that rules 2 and 4 take, pinned through extract: each expected
+    trace and outcome is the engine's own output, and each outcome must
+    pass the independent validator."""
+
+    @pytest.mark.parametrize("word, k, u, v, trace, outcome", DEEP_RULE_ROWS + FIRST_EDGE_ROWS)
     def test_trace_and_outcome(self, word, k, u, v, trace, outcome):
         G = parse_graph6(word)
         res = extract(G, k, u, v)

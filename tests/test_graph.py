@@ -1,4 +1,5 @@
 import pickle
+from itertools import combinations
 
 import pytest
 from fractions import Fraction
@@ -29,7 +30,7 @@ from hamcert import (
     read_graph6_lines,
     write_graph6,
 )
-from hamcert.graph import components_masks
+from hamcert.graph import bits, components_masks, edges_within
 
 
 def random_graph_strategy(max_n=8):
@@ -129,6 +130,17 @@ class TestComponents:
             G = graph_from_code(n, rng.getrandbits(n * (n - 1) // 2))
             remaining = rng.getrandbits(n)
             assert components_masks(G.adj, remaining) == reference(G.adj, remaining)
+
+
+class TestEdgesWithin:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_every_pair_in_order(self, data):
+        G = data.draw(random_graph_strategy(16))
+        mask = data.draw(st.integers(0, G.full_mask))
+        adj = G.adj
+        expected = [(a, b) for a, b in combinations(sorted(bits(mask)), 2) if adj[a] >> b & 1]
+        assert list(edges_within(adj, mask)) == expected
 
 
 class TestFamilies:

@@ -37,9 +37,9 @@ from hamcert.invariants import (
     _subset_planes,
     find_forbidden_naive,
     forbidden_at,
+    quick_hypotheses,
 )
 from hamcert.outcomes import ForbiddenInduced
-from hamcert.sweep import quick_hypotheses
 
 
 def petersen():

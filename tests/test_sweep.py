@@ -24,7 +24,7 @@ from hamcert import (
     run_sweep,
     vertex_connectivity,
 )
-from hamcert import sweep, write_graph6
+from hamcert import invariants, sweep, write_graph6
 from hamcert.certify import ValidationReport
 from hamcert.cli import main
 from hamcert.engine import ExtractionResult
@@ -153,10 +153,12 @@ class TestHamiltonianConnectedField:
     extraction, never from Hamilton backtracking."""
 
     def test_read_off_the_accepted_paths(self, monkeypatch):
-        def no_backtracking(G):
+        def no_backtracking(*args):
             raise AssertionError("the sweep ran Hamilton backtracking")
 
+        # the name the sweep imports, and the backtracking every route reaches
         monkeypatch.setattr(sweep, "is_hamiltonian_connected", no_backtracking)
+        monkeypatch.setattr(invariants, "hamilton_path_between", no_backtracking)
         K5 = complete_graph(5)
         lines: list[str] = []
         cfg = SweepConfig(families=(), ks=(1,), input_graphs=((K5.n, K5.adj),))
