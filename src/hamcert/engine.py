@@ -40,13 +40,12 @@ from .outcomes import (
 @dataclass(frozen=True, slots=True)
 class OrientedPath:
     """A simple (u,v)-path, immutable, equal, hashed and printed by ``seq``
-    alone. Successor and predecessor navigation is O(1) after the first
-    lookup, which fills the ``pos`` slot with the position table; rule 1
-    never needs it."""
+    alone, with its vertex set in ``mask``. A rule that needs path order
+    reads it from ``seq`` or from the neighbor lists it already holds in
+    path order."""
 
     seq: tuple[int, ...]
     mask: int = field(init=False, compare=False, repr=False)  # the path's vertex set
-    pos: dict[int, int] = field(init=False, compare=False, repr=False)  # filled on first read
 
     def __post_init__(self):
         mask = mask_of(self.seq)
@@ -60,48 +59,18 @@ class OrientedPath:
         walk, which has already refused a repeated vertex, or from a path
         that ``reversed`` turns round. It fills the two slots through their
         descriptors, which skips the frozen ``__setattr__`` and
-        ``__post_init__``'s second walk; ``pos`` stays empty until read."""
+        ``__post_init__``'s second walk."""
         path = object.__new__(cls)
         _set_seq(path, seq)
         _set_mask(path, mask)
         return path
-
-    def __getattr__(self, name: str):
-        # reached only while a slot is empty: fill ``pos`` on its first read
-        if name != "pos":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        pos = {w: i for i, w in enumerate(self.seq)}
-        _set_pos(self, pos)
-        return pos
-
-    @property
-    def first(self) -> int:
-        return self.seq[0]
-
-    @property
-    def last(self) -> int:
-        return self.seq[-1]
-
-    def __len__(self) -> int:
-        return len(self.seq)
-
-    def position(self, w: int) -> int:
-        return self.pos[w]
-
-    def succ(self, w: int) -> int:
-        return self.seq[self.pos[w] + 1]
-
-    def pred(self, w: int) -> int:
-        return self.seq[self.pos[w] - 1]
 
     def reversed(self) -> "OrientedPath":
         return OrientedPath._trusted(self.seq[::-1], self.mask)
 
 
 # the slots' own setters, which bypass the frozen ``__setattr__``
-_set_seq, _set_mask, _set_pos = (
-    vars(OrientedPath)[name].__set__ for name in ("seq", "mask", "pos")
-)
+_set_seq, _set_mask = (vars(OrientedPath)[name].__set__ for name in ("seq", "mask"))
 
 
 def initial_path(G: Graph, u: int, v: int) -> OrientedPath:
@@ -176,12 +145,12 @@ def three_case(G: Graph, P: OrientedPath, a: int, x_mask: int, x: int) -> Orient
     neighbors, give bases xp before xq, and a's position picks branch A
     (a before xp), B (a after xq) or C (a between them)."""
     seq = P.seq
-    pa = P.position(a)
+    pa = seq.index(a)
     pb = pa + 1
-    picks = sorted(bits(G.adj[a] & G.adj[seq[pb]] & x_mask), key=P.position)[:2]
+    picks = sorted(map(seq.index, bits(G.adj[a] & G.adj[seq[pb]] & x_mask)))[:2]
     if len(picks) < 2:
         raise EngineError(f"three-case rotation needs two common neighbors, got {len(picks)}")
-    pp, pq = (P.position(w) - 1 for w in picks)
+    pp, pq = (p - 1 for p in picks)
     if pa < pp:
         new = seq[:pb] + seq[pp + 1 : pq + 1] + (x,) + seq[pp:pa:-1] + seq[pq + 1 :]
     elif pq < pa:
@@ -195,12 +164,17 @@ def three_case(G: Graph, P: OrientedPath, a: int, x_mask: int, x: int) -> Orient
 
 
 def _successors(P: OrientedPath, nbrs: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(P.succ(w) for w in nbrs if w != P.last)
+    """The successor on P of each vertex of ``nbrs`` but P's last. The
+    cascade passes ``nbrs`` in path order, so the i-th successor follows
+    ``nbrs[i]`` and the successors too are in path order."""
+    seq = P.seq
+    return tuple(seq[seq.index(w) + 1] for w in nbrs if w != seq[-1])
 
 
 def _segments(P: OrientedPath, nbrs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    cuts = [-1] + [P.position(w) for w in nbrs] + [len(P)]
-    return tuple(P.seq[a + 1 : b] for a, b in zip(cuts, cuts[1:]))
+    seq = P.seq
+    cuts = [-1, *map(seq.index, nbrs), len(seq)]
+    return tuple(seq[a + 1 : b] for a, b in zip(cuts, cuts[1:]))
 
 
 def _odd_sets(segs: tuple[tuple[int, ...], ...]) -> int:
@@ -264,13 +238,11 @@ def _forbidden_or_bug(G, k, edge, candidates) -> ForbiddenInduced:
 # --- the claim cascade ------------------------------------------------------
 
 
-def _choose_x_set(
-    P: OrientedPath, plus: tuple[int, ...], k: int, forced: list[int]
-) -> list[int]:
-    """2k-1 successor vertices: the forced anchors plus the lowest
-    path positions; deterministic."""
+def _choose_x_set(plus: tuple[int, ...], k: int, forced: list[int]) -> list[int]:
+    """2k-1 members of ``plus``, the successors in path order: the forced
+    anchors, then the earliest others; deterministic."""
     size = 2 * k - 1
-    out = sorted(set(forced), key=P.position)
+    out = sorted(set(forced), key=plus.index)
     if len(out) > size:
         raise EngineError("forced anchors exceed the reference-set size")
     for w in plus:
@@ -309,10 +281,10 @@ def _scan_segment(
         hits = G.adj[seg[j - 1]] & union_mask
         if hits:
             jstar = j
-            xr = min(bits(hits), key=P.position)
+            xr = next(w for w in plus if hits >> w & 1)
             break
     forced = [anchor_succ] if jstar is None else [anchor_succ, xr]
-    X = _choose_x_set(P, plus, k, forced)
+    X = _choose_x_set(plus, k, forced)
     x_mask = mask_of(X)
     limit = jstar if jstar is not None else len(seg)
     for j in range(2, limit + 1, 2):
@@ -336,8 +308,9 @@ def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int, nbrs: tuple[int,
     """Rules 5-9 on the isolated vertex x with path neighbors ``nbrs``:
     the parity scans, the even-segment rule, the independence scans,
     and the toughness endgame, in fixed order."""
+    seq = P.seq
     plus = _successors(P, nbrs)
-    minus = tuple(P.pred(w) for w in nbrs if w != P.first)
+    minus = tuple(seq[seq.index(w) - 1] for w in nbrs if w != seq[0])
     segs = _segments(P, nbrs)
     t = len(nbrs)
 
@@ -363,7 +336,7 @@ def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int, nbrs: tuple[int,
         seg = segs[i]
         if len(seg) % 2 != 0:
             continue
-        X = _choose_x_set(P, plus, k, [seg[0]])
+        X = _choose_x_set(plus, k, [seg[0]])
         x_mask = mask_of(X)
         nxt = nbrs[i]
         if (G.adj[nxt] & x_mask).bit_count() <= k - 1:
@@ -388,14 +361,13 @@ def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int, nbrs: tuple[int,
         )
 
     # rule 8: outside vertices must avoid the successor set and S'
-    plus_mask = mask_of(plus)
     for y in bits(G.full_mask & ~P.mask & ~(1 << x)):
-        plus_hits = sorted(bits(G.adj[y] & plus_mask), key=P.position)
-        if len(plus_hits) >= 2:
-            xp, xq = (P.pred(w) for w in plus_hits[:2])
+        hits = [w for w in plus if G.adj[y] >> w & 1]
+        if len(hits) >= 2:
+            xp, xq = (nbrs[plus.index(w)] for w in hits[:2])  # plus[i] follows nbrs[i]
             return "rule8", via_component_path(G, P, xp, xq, (x,), (y,))
-        if len(plus_hits) == 1:
-            return "rule8", _forbidden_or_bug(G, k, (y, plus_hits[0]), [x] + list(plus))
+        if hits:
+            return "rule8", _forbidden_or_bug(G, k, (y, hits[0]), [x] + list(plus))
         s_hits = G.adj[y] & s_mask
         if s_hits:
             # {x} | plus avoids y, its lowest neighbour z in S' and their neighbourhoods,
@@ -417,8 +389,9 @@ def _detour(G: Graph, P: OrientedPath, comp: int, nbrs: tuple[int, ...]) -> Orie
     bad = next(edges_within(G.adj, mask_of(_successors(P, nbrs))), None)
     if bad is None:
         return None
-    wi, wj = sorted(bad, key=P.position)
-    xi, xj = P.pred(wi), P.pred(wj)
+    seq = P.seq
+    pi, pj = sorted(map(seq.index, bad))
+    xi, xj = seq[pi - 1], seq[pj - 1]
     return via_component_path(G, P, xi, xj, _path_through_component(G, comp, xi, xj))
 
 
