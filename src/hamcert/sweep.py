@@ -19,8 +19,9 @@ from __future__ import annotations
 import json
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from random import Random
 from typing import Callable, Iterator, Sequence
 
@@ -70,10 +71,6 @@ class SweepSummary:
     violations: list[str] = field(default_factory=list)
     max_extension_overshoot: int = 0  # >0 would break the progress bound
     elapsed_s: float = 0.0
-
-    def merge_violation(self, text: str) -> None:
-        if len(self.violations) < 100:
-            self.violations.append(text)
 
     @property
     def certificates(self) -> int:
@@ -170,8 +167,11 @@ def _fault(exc: Exception) -> str:
 def process_task(task: tuple, cfg: SweepConfig) -> tuple[list[dict], dict]:
     """Run one graph through every k: hypothesis evaluation, extraction
     on the selected pairs, validation. Returns (records, summary delta).
-    An exception raised by ``extract`` or ``validate_outcome`` becomes an
-    engine-error violation for its (k, pair), and the sweep carries on.
+    One guard covers each (k, pair): an exception raised by ``extract``,
+    by reading its result, or by ``validate_outcome`` becomes an
+    engine-error violation for that (k, pair), and the sweep carries on.
+    A pair whose extraction raised is not tallied; one whose validation
+    raised is, and is not held to the hypotheses.
     A violation's text, with its ``k=… pair=(…)`` part, is built only
     once the graph has one, since almost no pair does."""
     G = _materialize(task)
@@ -203,25 +203,22 @@ def process_task(task: tuple, cfg: SweepConfig) -> tuple[list[dict], dict]:
         tally: dict[str, int] = {}
         valid = paths = 0  # accepted outcomes, and the Hamilton paths among them
         for (u, v) in pairs:
-            res = reusable.get((u, v))
-            if res is None:
-                try:
+            try:  # a bug must not end the sweep
+                res = reusable.get((u, v))
+                if res is None:
                     res = extract(G, k, u, v)
-                except Exception as exc:  # a bug must not end the sweep
-                    found.append(("engine error on", k, u, v, f": {_fault(exc)}"))
-                    continue
-                if res.k_free:
-                    reusable[(u, v)] = res
-            kind = res.outcome.kind
-            tally[kind] = tally.get(kind, 0) + 1
-            outcomes[kind] = outcomes.get(kind, 0) + 1
-            overshoot = max(overshoot, res.extended_steps - max(0, n - 2))
-            if kind != "stalled":  # a stall certifies nothing, so there is nothing to validate
-                try:
-                    report = validate_outcome(G, k, u, v, res.outcome)
-                except Exception as exc:  # a bug must not end the sweep
-                    found.append(("engine error on", k, u, v, f": {_fault(exc)}"))
-                    continue
+                    if res.k_free:
+                        reusable[(u, v)] = res
+                kind = res.outcome.kind
+                tally[kind] = tally.get(kind, 0) + 1
+                outcomes[kind] = outcomes.get(kind, 0) + 1
+                overshoot = max(overshoot, res.extended_steps - max(0, n - 2))
+                # a stall certifies nothing, so there is nothing to validate
+                report = None if kind == "stalled" else validate_outcome(G, k, u, v, res.outcome)
+            except Exception as exc:
+                found.append(("engine error on", k, u, v, f": {_fault(exc)}"))
+                continue
+            if report is not None:
                 if not report.accepted:
                     failures += 1
                     found.append((f"invalid {kind} on", k, u, v, f": {report.code}"))
@@ -273,8 +270,7 @@ def _merge(summary: SweepSummary, records: list[dict], delta: dict) -> None:
     for kind, c in delta["tally"].items():
         summary.outcome_tally[kind] = summary.outcome_tally.get(kind, 0) + c
     summary.validation_failures += delta["validation_failures"]
-    for v in delta["violations"]:
-        summary.merge_violation(v)
+    summary.violations += delta["violations"][: 100 - len(summary.violations)]  # the first 100
     summary.max_extension_overshoot = max(
         summary.max_extension_overshoot, delta["max_overshoot"]
     )
@@ -285,20 +281,22 @@ def run_sweep(
     sink: Callable[[str], None] | None = None,
     progress: Callable[[int], None] | None = None,
 ) -> SweepSummary:
-    """Drive the sweep; ``sink`` receives one JSON line per record."""
+    """Drive the sweep; ``sink`` receives one JSON line per record. Both
+    the sequential and the pooled run map one task function, ``process_task``
+    bound to the config; each task carries its own graph, so the bound
+    config leaves out the families and the input graphs."""
     check_config(cfg)
     summary = SweepSummary()
     started = time.perf_counter()
     tasks = ((idx, *task) for idx, task in enumerate(_task_stream(cfg)))
+    work = partial(process_task, cfg=replace(cfg, families=(), input_graphs=()))
     with ExitStack() as stack:
         if cfg.jobs > 1:
             import multiprocessing as mp
 
-            # the config goes to each worker once, not with every task
-            pool = stack.enter_context(mp.Pool(cfg.jobs, initializer=_init_worker, initargs=(cfg,)))
-            results = pool.imap(_pool_worker, tasks, chunksize=256)
+            results = stack.enter_context(mp.Pool(cfg.jobs)).imap(work, tasks, chunksize=256)
         else:
-            results = (process_task(task, cfg) for task in tasks)
+            results = map(work, tasks)
         for records, delta in results:
             _merge(summary, records, delta)
             if sink is not None:
@@ -308,15 +306,3 @@ def run_sweep(
                 progress(summary.graphs)
     summary.elapsed_s = time.perf_counter() - started
     return summary
-
-
-_worker_cfg: SweepConfig | None = None  # set in each pool worker by _init_worker
-
-
-def _init_worker(cfg: SweepConfig) -> None:
-    global _worker_cfg
-    _worker_cfg = cfg
-
-
-def _pool_worker(task: tuple) -> tuple[list[dict], dict]:
-    return process_task(task, _worker_cfg)

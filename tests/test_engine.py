@@ -30,6 +30,7 @@ from hamcert import (
     graph_from_code,
     hamilton_path_between,
     hypothesis_check,
+    is_connected,
     outcome_to_json,
     parse_graph6,
     run_sweep,
@@ -835,6 +836,17 @@ def _multipartite_graphs(n: int):
         yield build_graph(n, [(a, b) for a, b in combinations(range(n), 2) if label[a] != label[b]])
 
 
+def _states(G):
+    """Every simple path of G, in both orientations, with at least two
+    vertices and fewer than n: the states one cascade step starts from."""
+    stack = [(w,) for w in range(G.n)]
+    while stack:
+        path = stack.pop()
+        if 2 <= len(path) < G.n:
+            yield path
+        stack.extend(path + (w,) for w in G.neighbors(path[-1]) if w not in path)
+
+
 class TestKOne:
     """At k = 1 the hypotheses name a known class, so the oracles and the
     cascade can be checked against it."""
@@ -864,15 +876,72 @@ class TestKOne:
         states = 0
         for n in range(3, 7):
             for G in _multipartite_graphs(n):
-                stack = [(w,) for w in range(n)]
-                while stack:
-                    path = stack.pop()
-                    if 2 <= len(path) < n:
-                        rule, _ = extend_or_certify(G, 1, OrientedPath(path))
-                        assert rule == "rule1", (G, path)
-                        states += 1
-                    stack.extend(path + (w,) for w in G.neighbors(path[-1]) if w not in path)
+                for path in _states(G):
+                    rule, _ = extend_or_certify(G, 1, OrientedPath(path))
+                    assert rule == "rule1", (G, path)
+                    states += 1
         assert states == 59_582
+
+
+def _one_step_from_every_state(graphs) -> Counter:
+    """One ``extend_or_certify`` step from every state of every graph, at
+    each k in 1-3. A returned path keeps the state's ends and vertices and
+    is longer; a certificate is accepted by the validator for the state's
+    ends; no step stalls or raises. Counts the steps per (k, rule)."""
+    steps = Counter()
+    for G in graphs:
+        for path in _states(G):
+            for k in (1, 2, 3):
+                rule, step = extend_or_certify(G, k, OrientedPath(path))
+                steps[k, rule] += 1
+                if isinstance(step, OrientedPath):
+                    seq = step.seq
+                    assert (seq[0], seq[-1]) == (path[0], path[-1]), (G, k, path, rule)
+                    assert set(path) < set(seq), (G, k, path, rule)
+                else:
+                    assert not isinstance(step, Stalled), (G, k, path, rule)
+                    report = validate_outcome(G, k, path[0], path[-1], step)
+                    assert report.accepted, (G, k, path, rule, report.code)
+    return steps
+
+
+def _per_rule(steps: Counter) -> dict[str, int]:
+    """Step counts per rule, summed over k."""
+    out = Counter()
+    for (_, rule), c in steps.items():
+        out[rule] += c
+    return dict(out)
+
+
+class TestEveryState:
+    """The cascade from every state (G, k, P) of small graphs, not only
+    from the start paths ``extract`` builds: P is any simple path of G
+    with at least two vertices that misses a vertex. The engine's guards
+    claim to hold from each of them."""
+
+    def test_every_connected_graph_up_to_five_vertices(self):
+        graphs = [G for n in range(3, 6) for G in exhaustive_graphs(n) if is_connected(G)]
+        assert len(graphs) == 770
+        steps = _one_step_from_every_state(graphs)
+        assert _per_rule(steps) == {
+            "rule1": 70_914, "rule2": 1_440, "rule3": 34_284,
+            "rule4": 1_080, "rule5": 1_440, "rule9": 1_128,
+        }
+        assert {rule for k, rule in steps if k > 1} == {"rule1", "rule2", "rule3"}
+
+    def test_seeded_six_vertex_slice(self):
+        """The first 200 connected graphs among seeded 6-vertex codes; the
+        full n = 6 run is a documented command in the ROADMAP."""
+        rng = random.Random("hamcert-states:6")
+        graphs = []
+        while len(graphs) < 200:
+            G = graph_from_code(6, rng.randrange(1 << 15))
+            if is_connected(G):
+                graphs.append(G)
+        assert _per_rule(_one_step_from_every_state(graphs)) == {
+            "rule1": 70_734, "rule2": 2_793, "rule3": 16_593, "rule4": 872,
+            "rule5": 1_545, "rule7": 40, "rule8": 39, "rule9": 360,
+        }
 
 
 def _deep_sample():

@@ -296,6 +296,12 @@ class TestGraph6:
             parse_graph6("A_trailing")
         assert exc.value.offset == 2
 
+    def test_bad_order_byte(self):
+        # "?" encodes n = 0, below the least order graph6 can hold here
+        with pytest.raises(Graph6ParseError) as exc:
+            parse_graph6("?")
+        assert (exc.value.message, exc.value.offset) == ("bad order byte '?'", 0)
+
     def test_file_error_names_its_line(self):
         with pytest.raises(Graph6ParseError) as exc:
             read_graph6_lines(["A_\n", "\n", "A_?\n", "A_\n"])

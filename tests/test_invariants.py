@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamcert import (
+    Graph,
     GraphInputError,
     build_graph,
     complete_bipartite,
@@ -490,6 +491,13 @@ class TestHamiltonPath:
         # spanning paths must start and end in the larger part
         assert hamilton_path_between(G, 2, 3) is not None
         assert hamilton_path_between(G, 0, 2) is None
+
+    def test_two_vertices(self):
+        """n = 2 is the only order at which the search reaches its base case
+        with a last vertex that misses v: from n = 3 on, the feasibility
+        check already makes the last vertex see v."""
+        assert hamilton_path_between(Graph(2, (0, 0)), 0, 1) is None
+        assert hamilton_path_between(complete_graph(2), 0, 1) == [0, 1]
 
     def test_rejects_bad_endpoints(self):
         with pytest.raises(GraphInputError):

@@ -189,16 +189,18 @@ def _broken_on_k4(real_extract):
     return extract
 
 
+EXHAUSTIVE_4_ALL_PAIRS = SweepConfig(
+    families=(FamilySpec(kind="exhaustive", n=4),), ks=(1,), pair_policy=("all", 0)
+)
+
+
 class TestEngineErrors:
     """An engine bug is recorded as a violation; the sweep carries on."""
 
     def test_recorded_as_a_violation(self, monkeypatch):
         monkeypatch.setattr(sweep, "extract", _broken_on_k4(sweep.extract))
-        cfg = SweepConfig(
-            families=(FamilySpec(kind="exhaustive", n=4),), ks=(1,), pair_policy=("all", 0)
-        )
         lines: list[str] = []
-        summary = run_sweep(cfg, sink=lines.append)
+        summary = run_sweep(EXHAUSTIVE_4_ALL_PAIRS, sink=lines.append)
         assert summary.graphs == 64
         word = write_graph6(complete_graph(4))
         assert summary.violations == [f"engine error on {word} k=1 pair=(1,2): injected fault"]
@@ -216,15 +218,29 @@ class TestEngineErrors:
                 raise KeyError(7)
             return real(G, k, u, v, *outcome)
 
+        clean = run_sweep(EXHAUSTIVE_4_ALL_PAIRS).outcome_tally
         monkeypatch.setattr(sweep, layer, broken)
-        cfg = SweepConfig(
-            families=(FamilySpec(kind="exhaustive", n=4),), ks=(1,), pair_policy=("all", 0)
-        )
-        summary = run_sweep(cfg)
+        summary = run_sweep(EXHAUSTIVE_4_ALL_PAIRS)
         assert summary.graphs == 64
         word = write_graph6(complete_graph(4))
         assert summary.violations == [f"engine error on {word} k=1 pair=(1,2): KeyError: 7"]
         assert not summary.clean
+        # a pair whose extraction raised is not tallied; one whose validation raised is
+        if layer == "extract":
+            clean["hamilton_path"] -= 1
+        assert summary.outcome_tally == clean
+
+    def test_unreadable_result_recorded_as_a_violation(self, monkeypatch):
+        real = sweep.extract
+
+        def extract(G, k, u, v):
+            return object() if G.is_complete() and (u, v) == (1, 2) else real(G, k, u, v)
+
+        monkeypatch.setattr(sweep, "extract", extract)
+        summary = run_sweep(K4_ONLY)
+        (violation,) = summary.violations
+        assert violation.startswith(f"engine error on {K4_WORD} k=1 pair=(1,2): AttributeError: ")
+        assert summary.outcome_tally == {"hamilton_path": 5}
 
     def test_cli_sweep_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(sweep, "extract", _broken_on_k4(sweep.extract))
@@ -284,6 +300,18 @@ class TestViolations:
         ]
         assert summary.certificates == 1 and summary.validation_failures == 0
         assert not summary.clean
+
+    def test_only_the_first_100_kept(self, monkeypatch):
+        rejected = ValidationReport(code="injected")
+        monkeypatch.setattr(sweep, "validate_outcome", lambda G, k, u, v, outcome: rejected)
+        every = [
+            text
+            for idx, task in enumerate(sweep._task_stream(EXHAUSTIVE_4_ALL_PAIRS))
+            for text in sweep.process_task((idx, *task), EXHAUSTIVE_4_ALL_PAIRS)[1]["violations"]
+        ]
+        summary = run_sweep(EXHAUSTIVE_4_ALL_PAIRS)
+        assert summary.validation_failures == len(every) > 100
+        assert summary.violations == every[:100]
 
 
 class TestDeterministicFamilies:
