@@ -33,9 +33,18 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
-    """Simple undirected graph; ``adj[u]`` is the neighbor bitmask of u."""
+    """Simple undirected graph; ``adj[u]`` is the neighbor bitmask of u and
+    ``full_mask`` the vertex set.
+
+    ``Graph(n, adj)`` validates adjacency that comes from outside the
+    package, such as a sweep's input graphs: 1 <= n <= 62, one row per
+    vertex, no neighbor >= n, no loop, and symmetry. The builders
+    ``build_graph`` and ``graph_from_code``, and every family, graph6 word
+    and sample that goes through them, check only their own input (edge
+    endpoints and loops, the code's range, the ceiling), build symmetric
+    loop-free rows by construction and fill the graph through ``_trusted``."""
 
     n: int
     adj: tuple[int, ...]
@@ -61,6 +70,18 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
+    @classmethod
+    def _trusted(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """The graph with rows ``adj``, from a builder that has checked its
+        own input and made the rows symmetric, loop-free and within
+        1 <= n <= 62. It fills the slots through their descriptors, which
+        skips the frozen ``__setattr__`` and ``__post_init__``'s walk over
+        every edge."""
+        G = object.__new__(cls)
+        _set_n(G, n)
+        _set_adj(G, adj)
+        return G
+
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] & (1 << v))
 
@@ -81,10 +102,16 @@ class Graph:
         return all(self.adj[u] == full ^ (1 << u) for u in range(self.n))
 
 
+# the slots' own setters, which bypass the frozen ``__setattr__``
+_set_n, _set_adj = (vars(Graph)[name].__set__ for name in ("n", "adj"))
+
+
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; duplicates coalesce silently."""
     if n < 1:
         raise GraphInputError("graph needs at least one vertex")
+    if n > MAX_VERTICES:  # before the rows are allocated
+        raise CapacityError(f"n={n} exceeds the ceiling of {MAX_VERTICES}")
     adj = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -93,7 +120,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise GraphInputError(f"loop ({u},{u}) is not allowed")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+    return Graph._trusted(n, tuple(adj))
 
 
 def components_masks(adj: tuple[int, ...], remaining: int) -> list[int]:
@@ -276,7 +303,7 @@ def graph_from_code(n: int, code: int) -> Graph:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
         code ^= low
-    return Graph(n, tuple(adj))
+    return Graph._trusted(n, tuple(adj))
 
 
 def exhaustive_graphs(n: int) -> Iterator[Graph]:

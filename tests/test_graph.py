@@ -90,6 +90,54 @@ class TestGraph:
         assert complete_graph(1).is_complete()
 
 
+def assert_validates(G):
+    """A graph from a trusted builder is the graph that full validation
+    builds from the same rows."""
+    assert G == Graph(G.n, G.adj), (G.n, G.adj)
+
+
+class TestTrustedBuilders:
+    """``build_graph`` and ``graph_from_code`` skip ``Graph``'s validation;
+    every graph they build must pass it unchanged."""
+
+    def test_every_small_code_and_a_sample_of_larger_ones(self):
+        for n in range(1, 6):
+            for code in range(1 << n * (n - 1) // 2):
+                assert_validates(graph_from_code(n, code))
+        rng = Random("hamcert-tests:trusted-codes")
+        for n in (6, 7):
+            for _ in range(2000):
+                assert_validates(graph_from_code(n, rng.getrandbits(n * (n - 1) // 2)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 62])
+    def test_fixed_families(self, n):
+        graphs = [complete_graph(n), path_graph(n), complete_bipartite(n // 2, n - n // 2)]
+        if n >= 3:
+            graphs.append(cycle_graph(n))
+        for G in graphs:
+            assert_validates(G)
+
+    def test_gnp_samples(self):
+        for n in (1, 2, 9, 24, 62):
+            for p in (Fraction(0), Fraction(1, 8), Fraction(1, 2), Fraction(7, 8), Fraction(1)):
+                for i in range(3):
+                    assert_validates(gnp_graph(n, p, seed=5, index=i))
+
+    def test_graph6_round_trips(self):
+        rng = Random("hamcert-tests:trusted-graph6")
+        for _ in range(300):
+            n = rng.randint(1, 62)
+            G = graph_from_code(n, rng.getrandbits(n * (n - 1) // 2))
+            assert_validates(parse_graph6(write_graph6(G)))
+
+    def test_build_graph_edge_list(self):
+        rng = Random("hamcert-tests:trusted-edges")
+        for _ in range(300):
+            n = rng.randint(2, 62)
+            edges = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3 * n))]
+            assert_validates(build_graph(n, edges))
+
+
 class TestComponents:
     def test_components_after_removal(self):
         G = cycle_graph(6)

@@ -16,6 +16,7 @@ from hamcert import (
     SweepConfig,
     complete_bipartite,
     complete_graph,
+    components_after_removal,
     cut_scan,
     exhaustive_graphs,
     graph_from_code,
@@ -49,6 +50,26 @@ class TestQuickHypotheses:
         for _ in range(2000):
             n = rng.randint(7, 10)
             assert_light_matches_exact(graph_from_code(n, rng.getrandbits(n * (n - 1) // 2)))
+
+    def test_low_minimum_degree_leaves_toughness_at_most_one(self):
+        """A graph with minimum degree below 3 that is not complete has
+        toughness at most 1: S = N(v), for a lowest vertex v of least
+        degree, leaves v alone and some non-neighbor of v, so at least
+        max(2, |S|) components. A degree prefilter in front of the light
+        scan would rest on this."""
+        rng = Random("hamcert-tests:min-degree")
+        sample = [graph_from_code(7, rng.getrandbits(21)) for _ in range(3000)]
+        checked = 0
+        for G in [G for n in range(1, 7) for G in exhaustive_graphs(n)] + sample:
+            degrees = [G.degree(v) for v in range(G.n)]
+            if min(degrees) >= 3 or G.is_complete():
+                continue
+            v = degrees.index(min(degrees))
+            S = G.neighbors(v)
+            assert not quick_hypotheses(G)[1], (G.n, G.adj)
+            assert len(components_after_removal(G, S)) >= max(2, len(S)), (G.n, G.adj)
+            checked += 1
+        assert checked > 30000
 
     def test_capped_before_work(self):
         with pytest.raises(CapacityError):
