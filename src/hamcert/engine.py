@@ -11,10 +11,12 @@ and never rescued; on a graph meeting all three hypotheses it is a bug.
 A constructed start path reaches the stall on a graph that fails the
 hypotheses; no stall has been seen from ``extract``'s own start path.
 
-Every rotation is a splice that rebuilds the path from segments of
-itself, some reversed, plus off-path vertices, and passes one check
-before it is returned;
-every certificate is assembled from the concrete adjacency facts the
+Every rotation is a splice that replaces one stretch of the path with a
+new middle, built from segments of the path, some reversed, plus
+off-path vertices. Every path the engine holds is a path of G: the
+start path is checked once, and each splice checks the stretch it
+replaced, its new vertices and the two joins, before it is returned.
+Every certificate is assembled from the concrete adjacency facts the
 scans established.
 """
 
@@ -55,9 +57,9 @@ class OrientedPath:
 
     @classmethod
     def _trusted(cls, seq: tuple[int, ...], mask: int) -> "OrientedPath":
-        """The path ``seq`` with vertex set ``mask``, both from ``_checked``'s
-        walk, which has already refused a repeated vertex, or from a path
-        that ``reversed`` turns round. It fills the two slots through their
+        """The path ``seq`` with vertex set ``mask``, both from ``_checked``,
+        which has already refused a repeated vertex, or from a path that
+        ``reversed`` turns round. It fills the two slots through their
         descriptors, which skips the frozen ``__setattr__`` and
         ``__post_init__``'s second walk."""
         path = object.__new__(cls)
@@ -85,27 +87,37 @@ def initial_path(G: Graph, u: int, v: int) -> OrientedPath:
         interior = _path_through_component(G, G.full_mask & ~(1 << u | 1 << v), v, u)
     except EngineError:
         raise GraphInputError(f"vertices {u} and {v} are disconnected") from None
-    return OrientedPath((u, *reversed(interior), v))
+    # the stretch between u and v of (u, v): every edge of the result is checked
+    return _checked(G, OrientedPath((u, v)), 1, interior[::-1], 1, "start path")
 
 
 # --- rotations --------------------------------------------------------------
 
 
 def _checked(
-    G: Graph, P: OrientedPath, new: list[int] | tuple[int, ...], splice: str
+    G: Graph, P: OrientedPath, head: int, middle: tuple[int, ...], tail: int, splice: str
 ) -> OrientedPath:
-    """The spliced path, validated in G, with P's endpoints, strictly
-    longer and keeping every vertex of P; any failure names the splice.
-    One walk along the new sequence refuses a repeated vertex and a
-    missing edge and builds the vertex set; every check reads only the
-    new sequence and P, never how the splice built it."""
-    seq = tuple(new)
-    if not seq:
-        raise EngineError(f"{splice}: empty path")
+    """P with the stretch between its first ``head`` vertices and its last
+    ``tail`` vertices replaced by ``middle``, validated in G: a path with
+    P's endpoints, strictly longer and keeping every vertex of P; any
+    failure names the splice.
+
+    Every path the engine holds is a path of G: the start path is checked
+    once, and each splice checks the stretch it replaced. So the kept
+    vertices, P's minus the replaced stretch, hold no repeat and their
+    edges are P's; one walk tests each middle vertex against them and the
+    middle vertices before it, and the edges from P's vertex before the
+    stretch through ``middle`` to P's vertex after it. Nothing else is
+    read from how the splice built ``middle``."""
+    old = P.seq
+    cut = len(old) - tail
+    if not 1 <= head <= cut <= len(old):
+        raise EngineError(f"{splice}: stretch [{head}:{cut}] out of range for {old}")
+    seq = old[:head] + middle + old[cut:]
     adj = G.adj
-    a = seq[0]
-    mask = 1 << a
-    for b in seq[1:]:
+    a = old[head - 1]
+    mask = P.mask ^ mask_of(old[head:cut])  # the kept vertices
+    for b in middle:
         bit = 1 << b
         if mask & bit:
             raise EngineError(f"{splice}: repeated vertex in path {seq}")
@@ -113,8 +125,9 @@ def _checked(
             raise EngineError(f"{splice}: path uses missing edge {a}-{b}")
         mask |= bit
         a = b
-    old = P.seq
-    if seq[0] != old[0] or seq[-1] != old[-1]:
+    if tail and not adj[a] >> old[cut] & 1:
+        raise EngineError(f"{splice}: path uses missing edge {a}-{old[cut]}")
+    if seq[-1] != old[-1]:  # head >= 1 keeps the first
         problem = "moved the endpoints"
     elif len(seq) <= len(old):
         problem = "did not lengthen the path"
@@ -135,8 +148,7 @@ def via_component_path(
     seq = P.seq
     pi = seq.index(xi)
     pj = seq.index(xj, pi)
-    new = seq[: pi + 1] + interior + seq[pj:pi:-1] + bridge + seq[pj + 1 :]
-    return _checked(G, P, new, "detour")
+    return _checked(G, P, pi + 1, interior + seq[pj:pi:-1] + bridge, len(seq) - pj - 1, "detour")
 
 
 def three_case(G: Graph, P: OrientedPath, a: int, x_mask: int, x: int) -> OrientedPath:
@@ -151,13 +163,13 @@ def three_case(G: Graph, P: OrientedPath, a: int, x_mask: int, x: int) -> Orient
     if len(picks) < 2:
         raise EngineError(f"three-case rotation needs two common neighbors, got {len(picks)}")
     pp, pq = (p - 1 for p in picks)
-    if pa < pp:
-        new = seq[:pb] + seq[pp + 1 : pq + 1] + (x,) + seq[pp:pa:-1] + seq[pq + 1 :]
-    elif pq < pa:
-        new = seq[: pp + 1] + (x,) + seq[pq:pp:-1] + seq[pa:pq:-1] + seq[pb:]
-    else:
-        new = seq[: pp + 1] + (x,) + seq[pq:pa:-1] + seq[pp + 1 : pb] + seq[pq + 1 :]
-    return _checked(G, P, new, "three-case rotation")
+    if pa < pp:  # replace P[a+ .. xq]
+        head, middle, tail = pb, seq[pp + 1 : pq + 1] + (x,) + seq[pp:pa:-1], len(seq) - pq - 1
+    elif pq < pa:  # replace P(xp .. a]
+        head, middle, tail = pp + 1, (x,) + seq[pq:pp:-1] + seq[pa:pq:-1], len(seq) - pb
+    else:  # replace P(xp .. xq]
+        head, middle, tail = pp + 1, (x,) + seq[pq:pa:-1] + seq[pp + 1 : pb], len(seq) - pq - 1
+    return _checked(G, P, head, middle, tail, "three-case rotation")
 
 
 # --- path structure ---------------------------------------------------------
@@ -396,7 +408,9 @@ def _detour(G: Graph, P: OrientedPath, comp: int, nbrs: tuple[int, ...]) -> Orie
 
 
 def extend_or_certify(G: Graph, k: int, P: OrientedPath) -> Step:
-    """One step: apply the first applicable rule of the fixed cascade."""
+    """One step: apply the first applicable rule of the fixed cascade. P
+    must be a path of G, as every path the engine builds is: a splice
+    checks only the stretch it replaced."""
     off = (1 << G.n) - 1 ^ P.mask  # P's vertices all lie in V(G)
     if not off:
         return "done", HamiltonPath(path=P.seq)

@@ -47,6 +47,7 @@ from hamcert.engine import (
     via_component_path,
 )
 from hamcert.graph import mask_of
+from test_acceptance import _truly_valid
 
 
 def _union_graph(n: int, *seqs: tuple[int, ...]):
@@ -104,6 +105,43 @@ def _graphs_with_paths(draw):
     edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
     G = build_graph(n, [(a, b) for a, b in edges if a != b])
     return G, OrientedPath(path), draw(st.integers(1, 3))
+
+
+@st.composite
+def _splices(draw):
+    """A path P of a graph G on 3-9 vertices that misses one vertex or
+    more, a stretch of P given by head >= 1 and tail >= 0, and a middle:
+    the replaced stretch and one or more off-path vertices in drawn
+    order, then perhaps corrupted by inserting any vertex, deleting one or
+    replacing one with an off-path vertex. G holds P's edges, the built
+    sequence's edges but perhaps one, and a few chords."""
+    n = draw(st.integers(3, 9))
+    order = draw(st.permutations(range(n)))
+    length = draw(st.integers(2, n - 1))
+    path = tuple(order[:length])
+    head = draw(st.integers(1, length - 1))
+    tail = draw(st.integers(0, length - head))
+    extra = order[length : length + 1] + [w for w in order[length + 1 :] if draw(st.booleans())]
+    middle = draw(st.permutations([*path[head : length - tail], *extra]))
+    edits = st.tuples(
+        st.sampled_from(("insert", "delete", "replace")), st.integers(0, n), st.integers(0, n - 1)
+    )
+    for edit, i, w in draw(st.lists(edits, max_size=2)):
+        if edit == "insert":
+            middle.insert(i, w)
+        elif edit == "replace" and middle:
+            middle[i % len(middle)] = order[length + w % (n - length)]
+        elif middle:
+            del middle[i % len(middle)]
+    middle = tuple(middle)
+    seq = path[:head] + middle + path[length - tail :]
+    edges = list(zip(path, path[1:]))
+    # a join left out, unless P holds it
+    skip = draw(st.one_of(st.just(-1), st.integers(-1, len(seq) - 2)))
+    edges += [e for i, e in enumerate(zip(seq, seq[1:])) if i != skip]
+    edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+    G = build_graph(n, [(a, b) for a, b in edges if a != b])
+    return G, OrientedPath(path), head, middle, tail
 
 
 def _off_path_components(G, path):
@@ -168,6 +206,16 @@ class TestOrientedPath:
                 P.mask = 0
             with pytest.raises(AttributeError):
                 P.missing
+
+    def test_start_path_is_checked_outside_the_disconnected_conversion(self, monkeypatch):
+        # a layer search that returned 2, which 0 does not see, is an engine
+        # bug, not a disconnected pair
+        G = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+        monkeypatch.setattr(engine, "_path_through_component", lambda *args: (2,))
+        with pytest.raises(EngineError, match="start path: path uses missing edge 0-2"):
+            initial_path(G, 0, 3)
+        with pytest.raises(EngineError, match="start path: path uses missing edge 0-2"):
+            extract(G, 1, 0, 3)
 
     def test_initial_path_is_shortest(self):
         G = cycle_graph(6)
@@ -262,9 +310,12 @@ class TestRotations:
             (lambda G, P: via_component_path(G, P, 0, 1, ()), "detour did not lengthen the path"),
             (lambda G, P: via_component_path(G, P, 0, 1, (1,)), "detour: repeated vertex"),
             (lambda G, P: via_component_path(G, P, 0, 1, (4,)), "detour: path uses missing edge 0-4"),
-            (lambda G, P: engine._checked(G, P, [], "probe"), "probe: empty path"),
+            (
+                lambda G, P: engine._checked(G, P, 0, (3,), 1, "probe"),
+                r"probe: stretch \[0:2\] out of range for \(0, 1, 2\)",
+            ),
         ],
-        ids=["endpoints", "length", "repeat", "missing-edge", "empty"],
+        ids=["endpoints", "length", "repeat", "missing-edge", "out-of-range"],
     )
     def test_rotation_checks_name_the_splice(self, splice, problem):
         # every edge of K5 but 0-4
@@ -272,15 +323,70 @@ class TestRotations:
         with pytest.raises(EngineError, match=problem):
             splice(G, OrientedPath((0, 1, 2)))
 
+    @pytest.mark.parametrize("head, tail", [(2, 2), (1, -1)])
+    def test_rotation_check_refuses_a_stretch_off_the_path(self, head, tail):
+        # the stretch must end no earlier than it starts and lie inside P;
+        # the "out-of-range" splice above keeps P's first vertex
+        with pytest.raises(EngineError, match="probe: stretch .* out of range"):
+            engine._checked(complete_graph(5), OrientedPath((0, 1, 2)), head, (3,), tail, "probe")
+
     def test_rotation_check_needs_edges(self):
         G = build_graph(3, [(0, 1)])
         with pytest.raises(EngineError, match="probe: path uses missing edge 0-2"):
-            engine._checked(G, OrientedPath((0, 1)), (0, 2, 1), "probe")
+            engine._checked(G, OrientedPath((0, 1)), 1, (2,), 1, "probe")
+
+    def test_rotation_check_needs_the_closing_join(self):
+        # 0-3 and P's own edges are present; the join from 3 back to 1 is not
+        G = build_graph(4, [(0, 1), (1, 2), (0, 3)])
+        with pytest.raises(EngineError, match="probe: path uses missing edge 3-1"):
+            engine._checked(G, OrientedPath((0, 1, 2)), 1, (3,), 2, "probe")
+
+    def test_rotation_check_refuses_a_kept_vertex_in_the_middle(self):
+        # (0, 1, 2, 0, 3, 4) has every edge in K6, P's endpoints and every
+        # vertex of P, but 0 is kept before the stretch and comes back in it
+        P = OrientedPath((0, 1, 2, 3, 4))
+        with pytest.raises(EngineError, match=r"probe: repeated vertex in path \(0, 1, 2, 0, 3, 4\)"):
+            engine._checked(complete_graph(6), P, 2, (2, 0), 2, "probe")
+
+    def test_rotation_check_lets_the_middle_reuse_the_replaced_stretch(self):
+        # the replaced vertex 1 is not kept, so the middle may carry it
+        out = engine._checked(complete_graph(5), OrientedPath((0, 1, 2)), 1, (3, 1), 1, "probe")
+        assert out.seq == (0, 3, 1, 2) and out.mask == mask_of(out.seq)
 
     def test_rotation_check_catches_a_dropped_vertex(self):
         # longer, same endpoints, every edge present, but 1 is gone
         with pytest.raises(EngineError, match="probe dropped a path vertex"):
-            engine._checked(complete_graph(5), OrientedPath((0, 1, 2)), [0, 3, 4, 2], "probe")
+            engine._checked(complete_graph(5), OrientedPath((0, 1, 2)), 1, (3, 4), 1, "probe")
+
+    def test_rotation_check_catches_a_dropped_stretch_vertex(self):
+        # the middle carries 1 of the replaced stretch (1, 2) but not 2
+        with pytest.raises(EngineError, match="probe dropped a path vertex"):
+            engine._checked(complete_graph(6), OrientedPath((0, 1, 2, 3)), 1, (4, 5, 1), 1, "probe")
+
+    @settings(max_examples=600, deadline=None)
+    @given(_splices())
+    def test_rotation_check_agrees_with_a_full_walk(self, case):
+        """On any path P of G, the stretch check accepts exactly the
+        splices whose built sequence an independent walk over the whole
+        sequence accepts, and returns that sequence with its vertex set."""
+        G, P, head, middle, tail = case
+        seq = P.seq[:head] + middle + P.seq[len(P.seq) - tail :]
+        valid = (
+            len(set(seq)) == len(seq)
+            and all(G.has_edge(a, b) for a, b in zip(seq, seq[1:]))
+            and (seq[0], seq[-1]) == (P.seq[0], P.seq[-1])
+            and len(seq) > len(P.seq)
+            and set(P.seq) <= set(seq)
+        )
+        if len(seq) == G.n:  # P misses a vertex, so criterion 4's Hamilton path check applies
+            record = {"kind": "hamilton_path", "path": list(seq)}
+            assert valid == _truly_valid(G, 1, P.seq[0], P.seq[-1], record)
+        try:
+            out = engine._checked(G, P, head, middle, tail, "probe")
+        except EngineError:
+            assert not valid
+        else:
+            assert valid and out.seq == seq and out.mask == mask_of(seq)
 
     @settings(max_examples=300, deadline=None)
     @given(_graphs_with_paths())
