@@ -137,6 +137,7 @@ def cmd_sweep(args) -> int:
         print(f"VIOLATIONS ({len(summary.violations)} shown):")
         for v in summary.violations:
             print(f"  {v}")
+    if not summary.clean:
         return 1
     print("violations=0")
     return 0

@@ -43,8 +43,8 @@ from .outcomes import (
 class OrientedPath:
     """A simple (u,v)-path, immutable, equal, hashed and printed by ``seq``
     alone, with its vertex set in ``mask``. A rule that needs path order
-    reads it from ``seq`` or from the neighbor lists it already holds in
-    path order."""
+    reads it from ``seq`` at the neighbor positions the cascade's one walk
+    recorded."""
 
     seq: tuple[int, ...]
     mask: int = field(init=False, compare=False, repr=False)  # the path's vertex set
@@ -139,15 +139,14 @@ def _checked(
 
 
 def via_component_path(
-    G: Graph, P: OrientedPath, xi: int, xj: int,
+    G: Graph, P: OrientedPath, pi: int, pj: int,
     interior: tuple[int, ...], bridge: tuple[int, ...] = (),
 ) -> OrientedPath:
-    """The detour P[..xi] + interior + reversed(P(xi..xj]) + bridge + P(xj..]
-    for xi before xj: rule 1's insertion (xj follows xi), rules 2 and 5's
-    detour, and rule 8's absorption (interior x, bridge y)."""
+    """The detour P[..pi] + interior + reversed(P(pi..pj]) + bridge + P(pj..]
+    for positions pi before pj on P, read from the neighbor positions the
+    cascade's one walk holds: rule 1's insertion (pj = pi + 1), rules 2 and
+    5's detour, and rule 8's absorption (interior x, bridge y)."""
     seq = P.seq
-    pi = seq.index(xi)
-    pj = seq.index(xj, pi)
     return _checked(G, P, pi + 1, interior + seq[pj:pi:-1] + bridge, len(seq) - pj - 1, "detour")
 
 
@@ -173,20 +172,6 @@ def three_case(G: Graph, P: OrientedPath, a: int, x_mask: int, x: int) -> Orient
 
 
 # --- path structure ---------------------------------------------------------
-
-
-def _successors(P: OrientedPath, nbrs: tuple[int, ...]) -> tuple[int, ...]:
-    """The successor on P of each vertex of ``nbrs`` but P's last. The
-    cascade passes ``nbrs`` in path order, so the i-th successor follows
-    ``nbrs[i]`` and the successors too are in path order."""
-    seq = P.seq
-    return tuple(seq[seq.index(w) + 1] for w in nbrs if w != seq[-1])
-
-
-def _segments(P: OrientedPath, nbrs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    seq = P.seq
-    cuts = [-1, *map(seq.index, nbrs), len(seq)]
-    return tuple(seq[a + 1 : b] for a, b in zip(cuts, cuts[1:]))
 
 
 def _odd_sets(segs: tuple[tuple[int, ...], ...]) -> int:
@@ -316,15 +301,17 @@ def _scan_segment(
 Step = tuple[str, OrientedPath | Outcome]
 
 
-def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int, nbrs: tuple[int, ...]) -> Step:
-    """Rules 5-9 on the isolated vertex x with path neighbors ``nbrs``:
-    the parity scans, the even-segment rule, the independence scans,
-    and the toughness endgame, in fixed order."""
+def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int, at: tuple[int, ...]) -> Step:
+    """Rules 5-9 on the isolated vertex x, whose path neighbors sit at the
+    positions ``at`` from the cascade's one walk, so their successors,
+    predecessors and segments are slices of P: the parity scans, the
+    even-segment rule, the independence scans, and the toughness endgame."""
     seq = P.seq
-    plus = _successors(P, nbrs)
-    minus = tuple(seq[seq.index(w) - 1] for w in nbrs if w != seq[0])
-    segs = _segments(P, nbrs)
-    t = len(nbrs)
+    last = len(seq) - 1
+    plus = tuple(seq[i + 1] for i in at if i != last)  # plus[i] follows seq[at[i]]
+    minus = tuple(seq[i - 1] for i in at if i)
+    segs = tuple(seq[a + 1 : b] for a, b in zip((-1, *at), (*at, len(seq))))
+    t = len(at)
 
     # rule 5: parity scans, forward segments then the reversed head
     for i in range(1, t + 1):
@@ -335,9 +322,9 @@ def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int, nbrs: tuple[int,
         if hit is not None:
             return "rule5", hit
     if segs[0]:
-        # rule 2's detour on the reversed path, whose successors are P's predecessors
+        # rule 2's detour on R, whose successors are P's predecessors, at positions last - i
         R = P.reversed()
-        hit = _detour(G, R, 1 << x, nbrs[::-1])
+        hit = _detour(G, R, 1 << x, tuple(last - i for i in reversed(at)))
         if hit is None:
             hit = _scan_segment(G, k, R, x, minus[::-1], segs[0][::-1])
         if hit is not None:
@@ -350,7 +337,7 @@ def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int, nbrs: tuple[int,
             continue
         X = _choose_x_set(plus, k, [seg[0]])
         x_mask = mask_of(X)
-        nxt = nbrs[i]
+        nxt = seq[at[i]]
         if (G.adj[nxt] & x_mask).bit_count() <= k - 1:
             return "rule6", _forbidden_or_bug(G, k, (x, nxt), X)
         a = seg[-1]
@@ -376,8 +363,8 @@ def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int, nbrs: tuple[int,
     for y in bits(G.full_mask & ~P.mask & ~(1 << x)):
         hits = [w for w in plus if G.adj[y] >> w & 1]
         if len(hits) >= 2:
-            xp, xq = (nbrs[plus.index(w)] for w in hits[:2])  # plus[i] follows nbrs[i]
-            return "rule8", via_component_path(G, P, xp, xq, (x,), (y,))
+            pp, pq = (at[plus.index(w)] for w in hits[:2])
+            return "rule8", via_component_path(G, P, pp, pq, (x,), (y,))
         if hits:
             return "rule8", _forbidden_or_bug(G, k, (y, hits[0]), [x] + list(plus))
         s_hits = G.adj[y] & s_mask
@@ -394,17 +381,17 @@ def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int, nbrs: tuple[int,
     return "rule9", ToughnessWitness(cut=s_star, independent=witness_set)
 
 
-def _detour(G: Graph, P: OrientedPath, comp: int, nbrs: tuple[int, ...]) -> OrientedPath | None:
-    """Rule 2 on a component with path neighbors ``nbrs``: when two of their
-    successors are adjacent, the detour through the component from the
-    first one's predecessor xi to the second's xj, else None."""
-    bad = next(edges_within(G.adj, mask_of(_successors(P, nbrs))), None)
+def _detour(G: Graph, P: OrientedPath, comp: int, at: tuple[int, ...]) -> OrientedPath | None:
+    """Rule 2 on a component whose path neighbors sit at the positions ``at``
+    from the cascade's one walk: when two of their successors are adjacent,
+    the detour through the component between those two neighbors, else None."""
+    seq = P.seq
+    base = {seq[i + 1]: i for i in at if i + 1 < len(seq)}  # successor -> its neighbor's position
+    bad = next(edges_within(G.adj, mask_of(base)), None)
     if bad is None:
         return None
-    seq = P.seq
-    pi, pj = sorted(map(seq.index, bad))
-    xi, xj = seq[pi - 1], seq[pj - 1]
-    return via_component_path(G, P, xi, xj, _path_through_component(G, comp, xi, xj))
+    pi, pj = sorted(map(base.get, bad))
+    return via_component_path(G, P, pi, pj, _path_through_component(G, comp, seq[pi], seq[pj]))
 
 
 def extend_or_certify(G: Graph, k: int, P: OrientedPath) -> Step:
@@ -417,49 +404,45 @@ def extend_or_certify(G: Graph, k: int, P: OrientedPath) -> Step:
     # rule 1: consecutive neighbors of any component admit a splice. One
     # walk along the path per component, in lowest-vertex order, stops at
     # the first such pair in path order; a component without one leaves
-    # its path neighbors x_1..x_t, in path order
+    # the positions of its path neighbors x_1..x_t, in path order
     adj = G.adj
+    seq = P.seq
     comps = []
     for comp in components_masks(adj, off):
-        nbrs = []
-        prev = None  # the path vertex before w, when it sees comp
-        for w in P.seq:
+        at = []
+        for i, w in enumerate(seq):
             if adj[w] & comp:
-                if prev is not None:
-                    interior = _path_through_component(G, comp, prev, w)
-                    return "rule1", via_component_path(G, P, prev, w, interior)
-                nbrs.append(w)
-                prev = w
-            else:
-                prev = None
-        comps.append((comp, tuple(nbrs)))
+                if at and at[-1] == i - 1:
+                    interior = _path_through_component(G, comp, seq[i - 1], w)
+                    return "rule1", via_component_path(G, P, i - 1, i, interior)
+                at.append(i)
+        comps.append((comp, tuple(at)))
 
     # rule 2: adjacent successors admit a detour through the component
-    for comp, nbrs in comps:
-        detour = _detour(G, P, comp, nbrs)
+    for comp, at in comps:
+        detour = _detour(G, P, comp, at)
         if detour is not None:
             return "rule2", detour
 
     # rule 3: a component with few path neighbors is a small cut
-    for comp, nbrs in comps:
-        if len(nbrs) < 2 * k:
-            cut = frozenset(nbrs)
-            rest = G.full_mask & ~comp & ~mask_of(nbrs)
-            if not rest:
+    for comp, at in comps:
+        if len(at) < 2 * k:
+            cut = frozenset(seq[i] for i in at)
+            if not G.full_mask & ~comp & ~mask_of(cut):
                 raise EngineError("small-cut rule reached with nothing separated")
             return "rule3", SmallCut(cut=cut)
 
     # rule 4: a component edge joins an independent successor set
-    for comp, nbrs in comps:
+    for comp, at in comps:
         if comp.bit_count() == 1:
             continue
         edge = next(edges_within(adj, comp))  # comp is connected, so it has an edge
-        return "rule4", _forbidden_or_bug(G, k, edge, list(_successors(P, nbrs)))
+        return "rule4", _forbidden_or_bug(G, k, edge, [seq[i + 1] for i in at if i + 1 < len(seq)])
 
     # rules 5-9 on the singleton component with the lowest vertex
-    comp, nbrs = comps[0]
+    comp, at = comps[0]
     x = (comp & -comp).bit_length() - 1
-    return _singleton_phase(G, k, P, x, nbrs)
+    return _singleton_phase(G, k, P, x, at)
 
 
 # --- end-to-end extraction --------------------------------------------------

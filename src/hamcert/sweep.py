@@ -78,8 +78,9 @@ class SweepSummary:
 
     @property
     def clean(self) -> bool:
-        # every validation failure also records a violation
-        return not self.violations
+        # every validation failure also records a violation; an overshoot
+        # breaks the progress bound, an engine bug even with no violation
+        return not self.violations and self.max_extension_overshoot <= 0
 
 
 def parse_pair_policy(text: str) -> PairPolicy:

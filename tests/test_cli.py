@@ -5,7 +5,17 @@ import os
 
 import pytest
 
-from hamcert import FamilySpec, complete_bipartite, complete_graph, invariants, write_graph6
+from hamcert import (
+    ExtractionResult,
+    FamilySpec,
+    Stalled,
+    SweepSummary,
+    cli,
+    complete_bipartite,
+    complete_graph,
+    invariants,
+    write_graph6,
+)
 from hamcert.cli import main, tightness_report
 
 
@@ -128,6 +138,21 @@ class TestExtractCommand:
         )
         assert code == 0 and "small_cut" in out
 
+    def test_stall_is_not_validated(self, capsys, monkeypatch):
+        # a stall carries no certificate, so there is nothing to validate
+        stalled = ExtractionResult(outcome=Stalled("probe"), trace=("rule7",))
+        monkeypatch.setattr(cli, "extract", lambda *args: stalled)
+
+        def forbidden(*args):
+            raise AssertionError("validate_outcome called on a stall")
+
+        monkeypatch.setattr(cli, "validate_outcome", forbidden)
+        code, out, _ = run_cli(
+            capsys, "extract", "--family", "complete:5", "--k", "2", "--u", "0", "--v", "1"
+        )
+        assert code == 0 and "outcome=stalled" in out
+        assert "validated=n/a (no certificate emitted)" in out
+
 
 class TestSweepCommand:
     def test_small_exhaustive_clean(self, capsys, tmp_path):
@@ -163,6 +188,22 @@ class TestSweepCommand:
             return out
 
         assert strip(a) == strip(b)
+
+    def test_progress_bound_exceeded_exits_1(self, capsys, monkeypatch):
+        # an overshoot is an engine bug even when no violation was recorded
+        overshot = SweepSummary(max_extension_overshoot=2)
+        monkeypatch.setattr(cli, "run_sweep", lambda *args, **kwargs: overshot)
+        code, out, _ = run_cli(capsys, "sweep", "--family", "exhaustive:4", "--k", "1")
+        assert code == 1
+        assert "extension bound exceeded by 2" in out and "violations=0" not in out
+
+    def test_progress_line_every_50000_graphs(self, capsys):
+        code, _, err = run_cli(
+            capsys, "sweep", "--family", "gnp:3,0", "--samples", "50000",
+            "--seed", "0", "--k", "1", "--pairs", "none",
+        )
+        assert code == 0
+        assert err == "... 50000 graphs processed\n"
 
     def test_over_ceiling_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--family", "exhaustive:8", "--k", "1")

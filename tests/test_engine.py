@@ -248,10 +248,11 @@ class TestRotations:
         assert out.seq == (0, 3, 1, 2)
 
     def test_via_component_path(self):
-        # path (1,2,3,4) with 5 adjacent to 1 and 3, and edge 2-4 present
+        # path (1,2,3,4) with 5 adjacent to 1 and 3, and edge 2-4 present;
+        # the splice takes the positions 0 and 2 of vertices 1 and 3
         G = build_graph(6, [(1, 2), (2, 3), (3, 4), (1, 5), (3, 5), (2, 4)])
         P = OrientedPath((1, 2, 3, 4))
-        out = via_component_path(G, P, 1, 3, (5,))
+        out = via_component_path(G, P, 0, 2, (5,))
         assert out.seq == (1, 5, 3, 2, 4)
 
     def test_three_case_template_a(self):
@@ -311,11 +312,16 @@ class TestRotations:
             (lambda G, P: via_component_path(G, P, 0, 1, (1,)), "detour: repeated vertex"),
             (lambda G, P: via_component_path(G, P, 0, 1, (4,)), "detour: path uses missing edge 0-4"),
             (
+                lambda G, P: via_component_path(G, P, 2, 1, (3,)),
+                r"detour: stretch \[3:2\] out of range for \(0, 1, 2\)",
+            ),
+            (
                 lambda G, P: engine._checked(G, P, 0, (3,), 1, "probe"),
                 r"probe: stretch \[0:2\] out of range for \(0, 1, 2\)",
             ),
         ],
-        ids=["endpoints", "length", "repeat", "missing-edge", "out-of-range"],
+        ids=["endpoints", "length", "repeat", "missing-edge", "positions-out-of-order",
+             "out-of-range"],
     )
     def test_rotation_checks_name_the_splice(self, splice, problem):
         # every edge of K5 but 0-4
@@ -861,18 +867,18 @@ class TestDeepRules:
         assert validate_outcome(G, 2, 7, 8, out).accepted
 
 
-def _assert_lemma_premise(G, k, P, x, nbrs):
+def _assert_lemma_premise(G, k, P, x, at):
     """Steps 1-4 of the lemma that rules 5-9 need n >= 4k + 1 on a graph
-    meeting the hypotheses: x's t path neighbours number at least 2k, x
-    sees none of their successors, the successors are pairwise
-    non-adjacent, so x and the successors form an independent set of at
-    least 2k vertices. Successors are read off the sequence here, not
-    through the engine's helpers."""
+    meeting the hypotheses: x's t path neighbours, at the positions
+    ``at``, number at least 2k, x sees none of their successors, the
+    successors are pairwise non-adjacent, so x and the successors form an
+    independent set of at least 2k vertices. Positions and successors are
+    read off the sequence here, not through the engine."""
     path = P.seq
     assert x not in path
-    assert nbrs == tuple(w for w in path if G.has_edge(x, w))
-    assert len(nbrs) >= 2 * k
-    succ = [path[path.index(w) + 1] for w in nbrs if w != path[-1]]
+    assert at == tuple(i for i, w in enumerate(path) if G.has_edge(x, w))
+    assert len(at) >= 2 * k
+    succ = [path[i + 1] for i in at if i + 1 < len(path)]
     assert not any(G.has_edge(x, s) for s in succ)
     assert not any(G.has_edge(a, b) for i, a in enumerate(succ) for b in succ[i + 1 :])
     assert len({x, *succ}) >= 2 * k
@@ -1076,12 +1082,12 @@ def _spy_witness_sites(monkeypatch) -> Counter:
         engine._singleton_phase, engine._scan_segment, engine._forbidden_or_bug
     )
 
-    def spy_phase(G, k, P, x, nbrs):
+    def spy_phase(G, k, P, x, at):
         path = P.seq
-        succ = {path[path.index(w) + 1] for w in nbrs if w != path[-1]}
+        succ = {path[i + 1] for i in at if i + 1 < len(path)}
         phase.update(P=P, x=x, succ=succ, scan=None)
         try:
-            return real_phase(G, k, P, x, nbrs)
+            return real_phase(G, k, P, x, at)
         finally:
             phase.clear()
 

@@ -23,7 +23,9 @@ from hamcert import (
     generate,
     gnp_graph,
     graph_from_code,
+    hypothesis_check,
     is_connected,
+    is_hamiltonian_connected,
     parse_family,
     parse_graph6,
     path_graph,
@@ -83,6 +85,33 @@ class TestGraph:
             gnp_graph(10**5, Fraction(1, 2), seed=0)
         with pytest.raises(CapacityError):
             graph_from_code(10**5, 0)
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: Graph(0, ()), GraphInputError, "graph needs at least one vertex"),
+            (lambda: Graph(63, (0,) * 63), CapacityError, "n=63 exceeds the ceiling of 62"),
+            (lambda: build_graph(0, []), GraphInputError, "graph needs at least one vertex"),
+            (lambda: cycle_graph(2), GraphInputError, "cycle needs at least 3 vertices"),
+            (lambda: gnp_graph(5, Fraction(3, 2), 0), GraphInputError, "p must lie in [0,1]"),
+            (
+                lambda: is_hamiltonian_connected(complete_graph(2)),
+                GraphInputError,
+                "hamiltonian-connectivity needs n >= 3",
+            ),
+            (
+                lambda: hypothesis_check(complete_graph(3), 0),
+                GraphInputError,
+                "k must be at least 1",
+            ),
+        ],
+        ids=["graph-empty", "graph-over-ceiling", "build-empty", "cycle-2", "gnp-p-above-1",
+             "hamiltonian-connected-n2", "hypotheses-k0"],
+    )
+    def test_input_checks_raise_one_line(self, call, error, message):
+        with pytest.raises(error) as exc:
+            call()
+        assert str(exc.value) == message
 
     def test_complete_detection(self):
         assert complete_graph(5).is_complete()
