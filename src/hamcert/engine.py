@@ -11,13 +11,13 @@ and never rescued; on a graph meeting all three hypotheses it is a bug.
 A constructed start path reaches the stall on a graph that fails the
 hypotheses; no stall has been seen from ``extract``'s own start path.
 
-Every rotation is a splice that replaces one stretch of the path with a
-new middle, built from segments of the path, some reversed, plus
-off-path vertices. Every path the engine holds is a path of G: the
-start path is checked once, and each splice checks the stretch it
-replaced, its new vertices and the two joins, before it is returned.
-Every certificate is assembled from the concrete adjacency facts the
-scans established.
+Every rotation is a splice that replaces one stretch of the path, empty
+for rule 1's insertion, with a new middle, built from segments of the
+path, some reversed, plus off-path vertices. Every path the engine holds
+is a path of G: the start path is checked once, and each splice checks
+the stretch it replaced, its new vertices and the two joins, before it
+is returned. Every certificate is assembled from the concrete adjacency
+facts the scans established.
 """
 
 from __future__ import annotations
@@ -108,7 +108,11 @@ def _checked(
     edges are P's; one walk tests each middle vertex against them and the
     middle vertices before it, and the edges from P's vertex before the
     stretch through ``middle`` to P's vertex after it. Nothing else is
-    read from how the splice built ``middle``."""
+    read from how the splice built ``middle``.
+
+    An empty stretch (``head == len(P.seq) - tail``) is an insertion:
+    ``middle`` goes between P[head - 1] and P[head], and both joins are
+    checked; rule 1 splices this way."""
     old = P.seq
     cut = len(old) - tail
     if not 1 <= head <= cut <= len(old):
@@ -144,8 +148,8 @@ def via_component_path(
 ) -> OrientedPath:
     """The detour P[..pi] + interior + reversed(P(pi..pj]) + bridge + P(pj..]
     for positions pi before pj on P, read from the neighbor positions the
-    cascade's one walk holds: rule 1's insertion (pj = pi + 1), rules 2 and
-    5's detour, and rule 8's absorption (interior x, bridge y)."""
+    cascade's one walk holds: rules 2 and 5's detour, and rule 8's
+    absorption (interior x, bridge y)."""
     seq = P.seq
     return _checked(G, P, pi + 1, interior + seq[pj:pi:-1] + bridge, len(seq) - pj - 1, "detour")
 
@@ -397,7 +401,9 @@ def _detour(G: Graph, P: OrientedPath, comp: int, at: tuple[int, ...]) -> Orient
 def extend_or_certify(G: Graph, k: int, P: OrientedPath) -> Step:
     """One step: apply the first applicable rule of the fixed cascade. P
     must be a path of G, as every path the engine builds is: a splice
-    checks only the stretch it replaced."""
+    checks only the stretch it replaced. Rule 1 replaces no stretch: it
+    inserts the component path into the empty stretch between its two
+    consecutive path neighbors, and ``_checked`` checks both joins."""
     off = (1 << G.n) - 1 ^ P.mask  # P's vertices all lie in V(G)
     if not off:
         return "done", HamiltonPath(path=P.seq)
@@ -410,12 +416,16 @@ def extend_or_certify(G: Graph, k: int, P: OrientedPath) -> Step:
     comps = []
     for comp in components_masks(adj, off):
         at = []
-        for i, w in enumerate(seq):
+        i = 0
+        prev = -2  # the last position that sees comp
+        for w in seq:
             if adj[w] & comp:
-                if at and at[-1] == i - 1:
-                    interior = _path_through_component(G, comp, seq[i - 1], w)
-                    return "rule1", via_component_path(G, P, i - 1, i, interior)
+                if prev == i - 1:  # insert between positions i - 1 and i
+                    interior = _path_through_component(G, comp, seq[prev], w)
+                    return "rule1", _checked(G, P, i, interior, len(seq) - i, "insertion")
                 at.append(i)
+                prev = i
+            i += 1
         comps.append((comp, tuple(at)))
 
     # rule 2: adjacent successors admit a detour through the component

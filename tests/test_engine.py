@@ -241,11 +241,33 @@ class TestOrientedPath:
 
 class TestRotations:
     def test_rule1_insertion_between_consecutive_neighbours(self):
-        # xj=1 follows xi=0, so the reversed stretch is just 1
+        # rule 1 inserts into the empty stretch between positions 0 and 1;
+        # the detour between the same positions, whose reversed stretch is
+        # just 1, builds the same path
         G = build_graph(4, [(0, 1), (1, 2), (0, 3), (3, 1)])
         P = OrientedPath((0, 1, 2))
-        out = via_component_path(G, P, 0, 1, (3,))
-        assert out.seq == (0, 3, 1, 2)
+        out = engine._checked(G, P, 1, (3,), 2, "insertion")
+        assert out.seq == (0, 3, 1, 2) and out.mask == mask_of(out.seq)
+        assert via_component_path(G, P, 0, 1, (3,)) == out
+
+    @pytest.mark.parametrize(
+        "edges, middle, message",
+        [
+            ([(0, 3)], (3,), "insertion: path uses missing edge 3-1"),
+            ([(3, 1)], (3,), "insertion: path uses missing edge 0-3"),
+            ([(0, 2), (2, 1)], (2,), "insertion: repeated vertex in path (0, 2, 1, 2)"),
+            ([], (), "insertion did not lengthen the path: (0, 1, 2) -> (0, 1, 2)"),
+        ],
+        ids=["tail-join", "head-join", "on-path", "empty"],
+    )
+    def test_insertion_into_an_empty_stretch_is_checked(self, edges, middle, message):
+        # the stretch between positions 0 and 1 of P = (0, 1, 2) is empty
+        # (head 1, tail 2); both joins, 0 into the middle and the middle
+        # into 1, must be edges of G
+        G = build_graph(4, [(0, 1), (1, 2), *edges])
+        with pytest.raises(EngineError) as err:
+            engine._checked(G, OrientedPath((0, 1, 2)), 1, middle, 2, "insertion")
+        assert str(err.value) == message
 
     def test_via_component_path(self):
         # path (1,2,3,4) with 5 adjacent to 1 and 3, and edge 2-4 present;
@@ -482,6 +504,84 @@ class TestRuleOneChoice:
         G = _union_graph(5, (0, 1, 2), (0, 3), (1, 4))
         with pytest.raises(EngineError, match=message):
             engine._path_through_component(G, mask_of(comp), 0, 1)
+
+
+def _extract_with_step(step):
+    """Run ``extract`` on K4 from 0 to 1 with ``engine.extend_or_certify``
+    replaced by ``step``, through pytest's monkeypatch."""
+
+    def run(monkeypatch):
+        monkeypatch.setattr(engine, "extend_or_certify", step)
+        extract(complete_graph(4), 1, 0, 1)
+
+    return run
+
+
+class TestGuards:
+    """Each engine guard, reached by a direct call or through a replaced
+    cascade step, raises ``EngineError`` with its exact message. Rule 6's
+    "even-segment endpoint lost its reference count" is not among them:
+    rule 5 has already scanned the same segment against the same
+    reference set, so no call reaches it."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda _: OrientedPath((0, 1, 0)), "repeated vertex in path (0, 1, 0)"),
+            (
+                # 3 sees only 0 and 4 sees only 1, so no path inside {3, 4} joins them
+                lambda _: engine._path_through_component(
+                    _union_graph(5, (0, 1, 2), (0, 3), (1, 4)), mask_of((3, 4)), 0, 1
+                ),
+                "component path search exhausted",
+            ),
+            (
+                lambda _: engine._choose_x_set((1, 2, 3), 1, [1, 2]),
+                "forced anchors exceed the reference-set size",
+            ),
+            (
+                lambda _: engine._choose_x_set((1, 2), 2, [1]),
+                "successor set too small for the reference set",
+            ),
+            (
+                # every candidate sees an end of the edge
+                lambda _: engine._forbidden_or_bug(complete_graph(4), 1, (0, 1), [2, 3]),
+                "failed to assemble a guaranteed forbidden witness at edge (0, 1)",
+            ),
+            (
+                # the anchor successor 1 sees the successor 2
+                lambda _: engine._scan_segment(
+                    complete_graph(5), 2, OrientedPath((0, 1, 2, 3)), 4, (1, 2, 3), (1,)
+                ),
+                "successor set not independent at scan time",
+            ),
+            (
+                # a one-vertex path has no consecutive pair and no successor,
+                # and its one vertex and the component it sees are all of K3
+                lambda _: extend_or_certify(complete_graph(3), 1, OrientedPath((0,))),
+                "small-cut rule reached with nothing separated",
+            ),
+            (
+                _extract_with_step(lambda G, k, P: ("rule1", P)),
+                "non-increasing extension step",
+            ),
+            (
+                # each step inserts a new vertex outside G before v, so the
+                # path never stops growing
+                _extract_with_step(
+                    lambda G, k, P: ("rule1", OrientedPath((*P.seq[:-1], 9 + len(P.seq), 1)))
+                ),
+                "extraction exceeded the step bound",
+            ),
+        ],
+        ids=["repeated-vertex", "search-exhausted", "forced-anchors", "too-few-successors",
+             "no-witness", "successors-not-independent", "nothing-separated",
+             "non-increasing", "step-bound"],
+    )
+    def test_guard_message(self, call, message, monkeypatch):
+        with pytest.raises(EngineError) as err:
+            call(monkeypatch)
+        assert str(err.value) == message
 
 
 @st.composite
@@ -995,11 +1095,25 @@ class TestKOne:
         assert states == 59_582
 
 
+def _assert_insertion(G, path, seq):
+    """seq is path with one run of new vertices inserted: the run sits at
+    consecutive positions of seq, deleting it gives path back, and each
+    run vertex sees the next, so the run lies in one component of G minus
+    the path."""
+    kept = set(path)
+    new = [i for i, w in enumerate(seq) if w not in kept]
+    run = seq[new[0] : new[-1] + 1]
+    assert len(run) == len(new), (G, path, seq)
+    assert seq[: new[0]] + seq[new[-1] + 1 :] == path, (G, path, seq)
+    assert all(G.has_edge(a, b) for a, b in zip(run, run[1:])), (G, path, seq)
+
+
 def _one_step_from_every_state(graphs) -> Counter:
     """One ``extend_or_certify`` step from every state of every graph, at
     each k in 1-3. A returned path keeps the state's ends and vertices and
-    is longer; a certificate is accepted by the validator for the state's
-    ends; no step stalls or raises. Counts the steps per (k, rule)."""
+    is longer, and rule 1's is an insertion; a certificate is accepted by
+    the validator for the state's ends; no step stalls or raises. Counts
+    the steps per (k, rule)."""
     steps = Counter()
     for G in graphs:
         for path in _states(G):
@@ -1010,6 +1124,8 @@ def _one_step_from_every_state(graphs) -> Counter:
                     seq = step.seq
                     assert (seq[0], seq[-1]) == (path[0], path[-1]), (G, k, path, rule)
                     assert set(path) < set(seq), (G, k, path, rule)
+                    if rule == "rule1":
+                        _assert_insertion(G, path, seq)
                 else:
                     assert not isinstance(step, Stalled), (G, k, path, rule)
                     report = validate_outcome(G, k, path[0], path[-1], step)
