@@ -154,18 +154,18 @@ def via_component_path(
     return _checked(G, P, pi + 1, interior + seq[pj:pi:-1] + bridge, len(seq) - pj - 1, "detour")
 
 
-def three_case(G: Graph, P: OrientedPath, a: int, x_mask: int, x: int) -> OrientedPath:
-    """Rotation at the consecutive pair (a, a+): the first two common
-    neighbors of a and a+ in ``x_mask``, a set of successors of x's path
-    neighbors, give bases xp before xq, and a's position picks branch A
-    (a before xp), B (a after xq) or C (a between them)."""
+def three_case(G: Graph, P: OrientedPath, pa: int, bases: list[int], x: int) -> OrientedPath:
+    """Rotation at the consecutive pair (a, a+) at positions pa and pa + 1:
+    the first two of ``bases``, x's neighbor positions in path order, whose
+    successor sees a and a+ give xp before xq, and pa picks branch A (a
+    before xp), B (a after xq) or C (a between them)."""
     seq = P.seq
-    pa = seq.index(a)
     pb = pa + 1
-    picks = sorted(map(seq.index, bits(G.adj[a] & G.adj[seq[pb]] & x_mask)))[:2]
+    both = G.adj[seq[pa]] & G.adj[seq[pb]]
+    picks = [p for p in bases if both >> seq[p + 1] & 1][:2]
     if len(picks) < 2:
         raise EngineError(f"three-case rotation needs two common neighbors, got {len(picks)}")
-    pp, pq = (p - 1 for p in picks)
+    pp, pq = picks
     if pa < pp:  # replace P[a+ .. xq]
         head, middle, tail = pb, seq[pp + 1 : pq + 1] + (x,) + seq[pp:pa:-1], len(seq) - pq - 1
     elif pq < pa:  # replace P(xp .. a]
@@ -173,19 +173,6 @@ def three_case(G: Graph, P: OrientedPath, a: int, x_mask: int, x: int) -> Orient
     else:  # replace P(xp .. xq]
         head, middle, tail = pp + 1, (x,) + seq[pq:pa:-1] + seq[pp + 1 : pb], len(seq) - pq - 1
     return _checked(G, P, head, middle, tail, "three-case rotation")
-
-
-# --- path structure ---------------------------------------------------------
-
-
-def _odd_sets(segs: tuple[tuple[int, ...], ...]) -> int:
-    """S', the union of the odd-position vertices of every segment, as the
-    mask rules 7-9 read: counted forward from each neighbor for segments
-    1..t, backward from the first neighbor for segment 0."""
-    out = mask_of(segs[0][::-2])
-    for seg in segs[1:]:
-        out |= mask_of(seg[::2])
-    return out
 
 
 # --- helpers ----------------------------------------------------------------
@@ -239,18 +226,18 @@ def _forbidden_or_bug(G, k, edge, candidates) -> ForbiddenInduced:
 # --- the claim cascade ------------------------------------------------------
 
 
-def _choose_x_set(plus: tuple[int, ...], k: int, forced: list[int]) -> list[int]:
-    """2k-1 members of ``plus``, the successors in path order: the forced
-    anchors, then the earliest others; deterministic."""
+def _choose_x_set(t: int, k: int, forced: list[int]) -> list[int]:
+    """2k-1 of the neighbor indices 0..t-1, whose successors are in path
+    order: the forced ones sorted, then the earliest others; deterministic."""
     size = 2 * k - 1
-    out = sorted(set(forced), key=plus.index)
+    out = sorted(set(forced))
     if len(out) > size:
         raise EngineError("forced anchors exceed the reference-set size")
-    for w in plus:
+    for j in range(t):
         if len(out) == size:
             break
-        if w not in out:
-            out.append(w)
+        if j not in out:
+            out.append(j)
     if len(out) < size:
         raise EngineError("successor set too small for the reference set")
     return out
@@ -261,43 +248,44 @@ def _scan_segment(
     k: int,
     P: OrientedPath,
     x: int,
+    at: tuple[int, ...],
     plus: tuple[int, ...],
-    seg: tuple[int, ...],
+    i: int,
 ) -> OrientedPath | ForbiddenInduced | None:
-    """Parity scan of ``seg``, the stretch between two path neighbors of x
-    (claims 3/4 machinery).
+    """Parity scan of the segment after x's path neighbor at ``at[i]``, up
+    to the next one or P's end (claims 3/4); ``plus[j]`` follows ``at[j]``.
 
     Returns None when clean, else the rotated path or the forbidden
-    witness the scan found. Odd positions must avoid the successor set
-    (just seg[0] when 2k-1 == 1); even positions must see at least k+1
-    members of the reference set.
+    witness the scan found. Counted from the neighbor, odd places must
+    avoid the successor set (just plus[i] when 2k-1 == 1); even places
+    must see at least k+1 members of the reference set.
     """
-    anchor_succ = seg[0]
+    seq = P.seq
+    adj = G.adj
+    end = at[i + 1] if i + 1 < len(at) else len(seq)
+    anchor_succ = plus[i]
     union_mask = mask_of(plus) if 2 * k - 1 >= 2 else 1 << anchor_succ
-    if G.adj[anchor_succ] & union_mask:
+    if adj[anchor_succ] & union_mask:
         raise EngineError("successor set not independent at scan time")
-    jstar = None
-    xr = None
-    for j in range(3, len(seg) + 1, 2):
-        hits = G.adj[seg[j - 1]] & union_mask
+    pstar, r = end, None  # the first odd place past plus[i] that sees a successor
+    for p in range(at[i] + 3, end, 2):
+        hits = adj[seq[p]] & union_mask
         if hits:
-            jstar = j
-            xr = next(w for w in plus if hits >> w & 1)
+            pstar, r = p, next(j for j, w in enumerate(plus) if hits >> w & 1)
             break
-    forced = [anchor_succ] if jstar is None else [anchor_succ, xr]
-    X = _choose_x_set(plus, k, forced)
-    x_mask = mask_of(X)
-    limit = jstar if jstar is not None else len(seg)
-    for j in range(2, limit + 1, 2):
-        w = seg[j - 1]
-        if (G.adj[w] & x_mask).bit_count() <= k:
-            return _forbidden_or_bug(G, k, (seg[j - 2], w), [x] + X)
-    if jstar is None:
+    X = _choose_x_set(len(plus), k, [i] if r is None else [i, r])
+    refs = [plus[j] for j in X]
+    x_mask = mask_of(refs)
+    for p in range(at[i] + 2, pstar, 2):
+        w = seq[p]
+        if (adj[w] & x_mask).bit_count() <= k:
+            return _forbidden_or_bug(G, k, (seq[p - 1], w), [x] + refs)
+    if r is None:
         return None
-    w = seg[jstar - 1]
-    if (G.adj[w] & x_mask).bit_count() <= k:
-        return _forbidden_or_bug(G, k, (xr, w), [x] + X)
-    return three_case(G, P, seg[jstar - 2], x_mask, x)
+    w = seq[pstar]
+    if (adj[w] & x_mask).bit_count() <= k:
+        return _forbidden_or_bug(G, k, (plus[r], w), [x] + refs)
+    return three_case(G, P, pstar - 1, [at[j] for j in sorted(X)], x)
 
 
 # One step of the cascade: the rule that fired, and either the lengthened
@@ -307,49 +295,48 @@ Step = tuple[str, OrientedPath | Outcome]
 
 def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int, at: tuple[int, ...]) -> Step:
     """Rules 5-9 on the isolated vertex x, whose path neighbors sit at the
-    positions ``at`` from the cascade's one walk, so their successors,
-    predecessors and segments are slices of P: the parity scans, the
-    even-segment rule, the independence scans, and the toughness endgame."""
+    positions ``at``, no two consecutive, from the cascade's one walk; their
+    successors, predecessors, segments and S' are read from P at those
+    positions: the parity scans, the even-segment rule, the independence
+    scans, and the toughness endgame."""
     seq = P.seq
     last = len(seq) - 1
     plus = tuple(seq[i + 1] for i in at if i != last)  # plus[i] follows seq[at[i]]
     minus = tuple(seq[i - 1] for i in at if i)
-    segs = tuple(seq[a + 1 : b] for a, b in zip((-1, *at), (*at, len(seq))))
-    t = len(at)
 
     # rule 5: parity scans, forward segments then the reversed head
-    for i in range(1, t + 1):
-        seg = segs[i]
-        if not seg:
-            continue
-        hit = _scan_segment(G, k, P, x, plus, seg)
+    for i in range(len(plus)):
+        hit = _scan_segment(G, k, P, x, at, plus, i)
         if hit is not None:
             return "rule5", hit
-    if segs[0]:
+    if at[0]:
         # rule 2's detour on R, whose successors are P's predecessors, at positions last - i
         R = P.reversed()
-        hit = _detour(G, R, 1 << x, tuple(last - i for i in reversed(at)))
+        at_r = tuple(last - i for i in reversed(at))
+        hit = _detour(G, R, 1 << x, at_r)
         if hit is None:
-            hit = _scan_segment(G, k, R, x, minus[::-1], segs[0][::-1])
+            hit = _scan_segment(G, k, R, x, at_r, minus[::-1], len(at) - 1)
         if hit is not None:
             return "rule5", hit.reversed() if isinstance(hit, OrientedPath) else hit
 
     # rule 6: every interior segment must have odd length
-    for i in range(1, t):
-        seg = segs[i]
-        if len(seg) % 2 != 0:
+    for i in range(1, len(at)):
+        if (at[i] - at[i - 1] - 1) % 2:
             continue
-        X = _choose_x_set(plus, k, [seg[0]])
-        x_mask = mask_of(X)
+        X = _choose_x_set(len(plus), k, [i - 1])
+        refs = [plus[j] for j in X]
+        x_mask = mask_of(refs)
         nxt = seq[at[i]]
         if (G.adj[nxt] & x_mask).bit_count() <= k - 1:
-            return "rule6", _forbidden_or_bug(G, k, (x, nxt), X)
-        a = seg[-1]
-        if (G.adj[a] & x_mask).bit_count() <= k:
+            return "rule6", _forbidden_or_bug(G, k, (x, nxt), refs)
+        if (G.adj[seq[at[i] - 1]] & x_mask).bit_count() <= k:
             raise EngineError("even-segment endpoint lost its reference count")
-        return "rule6", three_case(G, P, a, x_mask, x)
+        return "rule6", three_case(G, P, at[i] - 1, [at[j] for j in sorted(X)], x)
 
-    s_mask = _odd_sets(segs)
+    # S': each segment's odd places, counted back from x_1 for the head
+    s_mask = mask_of(seq[: at[0]][::-2])
+    for a, b in zip(at, (*at[1:], len(seq))):
+        s_mask |= mask_of(seq[a + 1 : b : 2])
     wide_candidates = [x] + sorted(set(plus) | set(minus))
 
     # rule 7: the odd-position set must be independent
@@ -365,12 +352,11 @@ def _singleton_phase(G: Graph, k: int, P: OrientedPath, x: int, at: tuple[int, .
 
     # rule 8: outside vertices must avoid the successor set and S'
     for y in bits(G.full_mask & ~P.mask & ~(1 << x)):
-        hits = [w for w in plus if G.adj[y] >> w & 1]
+        hits = [j for j, w in enumerate(plus) if G.adj[y] >> w & 1]
         if len(hits) >= 2:
-            pp, pq = (at[plus.index(w)] for w in hits[:2])
-            return "rule8", via_component_path(G, P, pp, pq, (x,), (y,))
+            return "rule8", via_component_path(G, P, at[hits[0]], at[hits[1]], (x,), (y,))
         if hits:
-            return "rule8", _forbidden_or_bug(G, k, (y, hits[0]), [x] + list(plus))
+            return "rule8", _forbidden_or_bug(G, k, (y, plus[hits[0]]), [x] + list(plus))
         s_hits = G.adj[y] & s_mask
         if s_hits:
             # {x} | plus avoids y, its lowest neighbour z in S' and their neighbourhoods,

@@ -134,6 +134,8 @@ def outcome_from_json(text: str) -> tuple[Outcome, int, int, int]:
         d = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphInputError(f"outcome record is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise GraphInputError(f"outcome record has an over-long number: {exc}") from exc
     except RecursionError as exc:
         raise GraphInputError("outcome record is nested too deeply") from exc
     return outcome_from_dict(d)

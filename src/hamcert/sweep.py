@@ -91,7 +91,10 @@ def parse_pair_policy(text: str) -> PairPolicy:
     if text.startswith("sample:"):
         count = text[len("sample:"):]
         if count.isascii() and count.isdigit():
-            return ("sample", int(count))
+            try:
+                return ("sample", int(count))
+            except ValueError:  # past Python's digit limit
+                pass
     raise GraphInputError(f"bad pair policy {text!r}; use all, none, or sample:N with N >= 0")
 
 

@@ -267,6 +267,7 @@ class TestSweepCommand:
             ("--pairs", "sample:-1"),
             ("--samples", "-3"),
             ("--samples", "0"),
+            ("--pairs", "sample:" + "9" * 5000),  # past Python's integer digit limit
         ],
     )
     def test_bad_numbers_exit_2(self, capsys, flags):
@@ -371,6 +372,14 @@ class TestValidateCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "diagnostic needs a string" in err
+
+    def test_over_long_integer_exits_2(self, capsys, monkeypatch):
+        # json.loads refuses an integer past Python's digit limit with a ValueError
+        record = '{"kind":"small_cut","k":%s,"u":0,"v":1,"cut":[0]}\n' % ("9" * 5000)
+        monkeypatch.setattr("sys.stdin", io.StringIO(record))
+        code, out, err = run_cli(capsys, "validate", "--family", "cycle:5", "--outcome", "-")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_claim_about_no_pair_of_the_graph_is_rejected(self, capsys, monkeypatch):
         record = '{"kind":"small_cut","k":2,"u":99,"v":99,"cut":[0,2]}\n'

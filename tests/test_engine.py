@@ -1,10 +1,14 @@
 import hashlib
 import inspect
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -57,12 +61,13 @@ def _union_graph(n: int, *seqs: tuple[int, ...]):
 
 def _spy_three_case(monkeypatch) -> list[int]:
     """Route engine.three_case through a spy; the returned list collects
-    the a of every call."""
+    the a of every call, the vertex at the position pa."""
     calls = []
     real = engine.three_case
 
     def spy(*args):
-        calls.append(inspect.signature(real).bind(*args).arguments["a"])
+        arguments = inspect.signature(real).bind(*args).arguments
+        calls.append(arguments["P"].seq[arguments["pa"]])
         return real(*args)
 
     monkeypatch.setattr(engine, "three_case", spy)
@@ -284,7 +289,7 @@ class TestRotations:
         P = OrientedPath((0, 1, 2, 3, 4, 5))
         # branch A: a=0 lies before the bases xp=1 and xq=3, whose
         # successors 2 and 4 see a and a+=1
-        out = three_case(G, P, 0, mask_of((2, 4)), 6)
+        out = three_case(G, P, 0, [1, 3], 6)
         assert out.seq == (0, 2, 3, 6, 1, 4, 5)
 
     def test_three_case_template_b(self):
@@ -293,7 +298,7 @@ class TestRotations:
         P = OrientedPath((0, 1, 2, 3, 4, 5, 6, 7))
         expected = (0, 1, 8, 3, 2, 5, 4, 6, 7)
         G = _union_graph(9, P.seq, expected, (2, 6))
-        out = three_case(G, P, 5, mask_of((2, 4)), 8)
+        out = three_case(G, P, 5, [1, 3], 8)
         assert out.seq == expected
 
     def test_three_case_template_c(self):
@@ -302,14 +307,14 @@ class TestRotations:
         P = OrientedPath((0, 1, 2, 3, 4, 5, 6, 7))
         expected = (0, 1, 8, 5, 4, 2, 3, 6, 7)
         G = _union_graph(9, P.seq, expected, (4, 6))
-        out = three_case(G, P, 3, mask_of((2, 6)), 8)
+        out = three_case(G, P, 3, [1, 5], 8)
         assert out.seq == expected
 
     def test_three_case_needs_two_common_neighbors(self):
         G = complete_graph(7)
         P = OrientedPath((0, 1, 2, 3, 4, 5))
         with pytest.raises(EngineError, match="needs two common neighbors, got 1"):
-            three_case(G, P, 0, mask_of((2,)), 6)
+            three_case(G, P, 0, [1], 6)
 
     def test_rule8_absorption_of_x_and_y(self):
         # x=6 sits between xp=1 and the reversed middle; y=7 sees the
@@ -536,11 +541,11 @@ class TestGuards:
                 "component path search exhausted",
             ),
             (
-                lambda _: engine._choose_x_set((1, 2, 3), 1, [1, 2]),
+                lambda _: engine._choose_x_set(3, 1, [0, 1]),
                 "forced anchors exceed the reference-set size",
             ),
             (
-                lambda _: engine._choose_x_set((1, 2), 2, [1]),
+                lambda _: engine._choose_x_set(2, 2, [0]),
                 "successor set too small for the reference set",
             ),
             (
@@ -549,9 +554,9 @@ class TestGuards:
                 "failed to assemble a guaranteed forbidden witness at edge (0, 1)",
             ),
             (
-                # the anchor successor 1 sees the successor 2
+                # the anchor successor 1, after position 0, sees the successor 3
                 lambda _: engine._scan_segment(
-                    complete_graph(5), 2, OrientedPath((0, 1, 2, 3)), 4, (1, 2, 3), (1,)
+                    complete_graph(5), 2, OrientedPath((0, 1, 2, 3)), 4, (0, 2), (1, 3), 0
                 ),
                 "successor set not independent at scan time",
             ),
@@ -1288,3 +1293,13 @@ class TestByteIdentity:
             count += 1
         assert count == 300 * 90 + 1500
         assert h.hexdigest() == "20a8d6edf45d22b5d46b8f75e9e3790c78d86706edf7605f36a1a9a302f7787e"
+
+    def test_every_graph_digest(self):
+        """tools/digest.py, run on the package these tests import, over every
+        ordered pair of every labelled 4-vertex graph at k = 1, 2, 3."""
+        env = dict(os.environ, PYTHONPATH=str(Path(engine.__file__).parents[1]))
+        tool = Path(__file__).parents[1] / "tools" / "digest.py"
+        out = subprocess.run(
+            [sys.executable, str(tool), "4"], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out == "1725dde5528944e58582016e5c484358dc41aed7376bd6d00e811594bebf1d72\n"
